@@ -52,11 +52,11 @@ from repro.physical.plans import (
     NLJoinP,
     PhysicalOp,
     SortP,
+    card_sensitive,
 )
-from repro.physical.properties import SortOrder, order_satisfies
+from repro.physical.properties import OrderCanonicalizer, SortOrder
 from repro.core.cascades.memo import Group, Memo, MExpr, Winner
 from repro.core.systemr.access import generate_access_paths
-from repro.core.systemr.enumerator import SystemRJoinEnumerator
 from repro.core.systemr.orders import equivalence_classes
 from repro.stats.propagation import CardinalityEstimator
 from repro.stats.summaries import TableStats
@@ -123,6 +123,7 @@ class CascadesOptimizer:
         self.config = config
         self.estimator = CardinalityEstimator(stats_by_alias, feedback=feedback)
         self.equivalences = equivalence_classes(graph)
+        self._orders = OrderCanonicalizer(self.equivalences)
         self.memo = Memo()
         self.stats = CascadesStats()
         self._rows_cache: Dict[FrozenSet[str], float] = {}
@@ -231,9 +232,7 @@ class CascadesOptimizer:
 
         def consider(plan: PhysicalOp) -> None:
             nonlocal best
-            if required and not order_satisfies(
-                plan.order, required, self.equivalences
-            ):
+            if not self._orders.satisfies(plan.order, required):
                 plan = self._enforce(plan, required, aliases)
             if self.config.use_pruning and plan.est_cost.total > limit:
                 self.stats.pruned_by_bound += 1
@@ -268,7 +267,7 @@ class CascadesOptimizer:
                 if self.config.risk_aware:
                     hi_rows = self._rows_hi(aliases)
                     path.est_cost_hi = path.est_cost.total
-                    if SystemRJoinEnumerator._card_sensitive(path):
+                    if card_sensitive(path):
                         path.est_cost_hi *= hi_rows / max(path.est_rows, 1.0)
                 consider(path)
         else:

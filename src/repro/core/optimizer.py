@@ -66,7 +66,7 @@ from repro.sql.binder import Binder, UdfRegistration
 from repro.sql.parser import normalize_sql, parse, parse_statement
 from repro.core.physicalize import Physicalizer
 from repro.core.rewrite import RewriteContext, RuleEngine, default_rule_engine
-from repro.core.systemr.enumerator import EnumeratorConfig
+from repro.core.systemr.enumerator import EnumeratorConfig, EnumeratorStats
 from repro.stats.feedback import (
     CardinalityFeedback,
     collect_fingerprints,
@@ -85,6 +85,8 @@ class OptimizedQuery:
     rewritten: LogicalOp
     physical: PhysicalOp
     rewrite_trace: List[str] = field(default_factory=list)
+    # What the join enumeration explored to find ``physical``.
+    search: EnumeratorStats = field(default_factory=EnumeratorStats)
 
     def explain(self) -> str:
         """The physical plan rendering."""
@@ -190,6 +192,7 @@ class Optimizer:
             rewritten=rewritten,
             physical=physical,
             rewrite_trace=context.trace,
+            search=self.physicalizer.search,
         )
 
     def _estimator(self, logical: LogicalOp) -> CardinalityEstimator:
@@ -869,6 +872,7 @@ class Database:
         )
         elapsed = time.perf_counter() - start
         self.metrics.optimize_seconds += elapsed
+        self.metrics.record_search(optimized.search)
         snapshot = None
         if self.feedback is not None:
             snapshot = self.feedback.snapshot(
@@ -1124,7 +1128,9 @@ class Database:
         )
         if not stmt.analyze:
             result = _text_result(
-                "explain", "QUERY PLAN", optimized.explain().splitlines()
+                "explain",
+                "QUERY PLAN",
+                optimized.explain().splitlines() + [optimized.search.summary()],
             )
             result.plan = optimized.physical
             result.from_plan_cache = from_cache
@@ -1153,6 +1159,7 @@ class Database:
             context.runtime,
             optimize_seconds=opt_seconds,
             context=context,
+            search=optimized.search.summary(),
         )
         lines = rendering.splitlines()
         lines.append(f"({len(rows)} rows)")

@@ -74,7 +74,11 @@ from repro.physical.plans import (
     UnionAllP,
 )
 from repro.physical.properties import SortOrder, make_order, order_satisfies
-from repro.core.systemr.enumerator import EnumeratorConfig, SystemRJoinEnumerator
+from repro.core.systemr.enumerator import (
+    EnumeratorConfig,
+    EnumeratorStats,
+    SystemRJoinEnumerator,
+)
 from repro.stats.propagation import CardinalityEstimator
 from repro.stats.summaries import TableStats, analyze_table
 
@@ -110,6 +114,9 @@ class Physicalizer:
         self.adaptive = adaptive
         self.parallel_mode = parallel_mode
         self.max_dop = max_dop
+        # Join-enumeration work of the latest plan_query(), summed over
+        # the query's SPJ regions.
+        self.search = EnumeratorStats()
 
     # ------------------------------------------------------------------
     def plan_query(
@@ -123,6 +130,7 @@ class Physicalizer:
         validity-range CHECK operators are inserted at materialization
         points here.
         """
+        self.search = EnumeratorStats()
         plan = self.physicalize(op, required_order)
         if self.adaptive is not None and self.adaptive.enabled:
             from repro.engine.adaptive import insert_checks
@@ -190,6 +198,7 @@ class Physicalizer:
                 allow_cartesian=True,
             )
             plan, _cost = naive.best_plan(required_order)
+            self.search.absorb(naive.stats)
             return plan
         enumerator = SystemRJoinEnumerator(
             self.catalog,
@@ -201,6 +210,7 @@ class Physicalizer:
             feedback=self.feedback,
         )
         plan, _cost = enumerator.best_plan(required_order)
+        self.search.absorb(enumerator.stats)
         return plan
 
     def _collect_region(self, op: LogicalOp, graph: QueryGraph) -> None:

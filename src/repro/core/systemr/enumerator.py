@@ -12,13 +12,21 @@ Knobs mirror the paper's discussion: ``bushy`` expands the search space,
 ``allow_cartesian`` permits early Cartesian products (profitable on star
 queries), and ``use_interesting_orders=False`` reproduces the
 sub-optimality System R's mechanism exists to avoid (benchmark E2).
+
+The search is *cost first*: relation subsets are int bitmasks (bit ``i`` =
+the ``i``-th alias in sorted order), delivered orders are canonical keys
+with a bitmask of the interesting orders they satisfy, and a candidate
+is a handful of floats plus a back-pointer to the entries it joins.
+Dominance pruning runs on those scalars; the ``PhysicalOp`` tree of an
+entry is built -- once, memoized -- only when :attr:`PlanEntry.plan` is
+read, which on the ``Database`` path happens for the winner alone.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.cost.model import (
@@ -28,7 +36,6 @@ from repro.cost.model import (
     cost_materialize,
     cost_merge_join,
     cost_nested_loop_join,
-    cost_seq_scan,
     cost_sort,
     pages_for_rows,
 )
@@ -39,21 +46,17 @@ from repro.logical.operators import JoinKind
 from repro.logical.querygraph import QueryGraph
 from repro.physical.plans import (
     HashJoinP,
-    IndexScanP,
     INLJoinP,
     MaterializeP,
     MergeJoinP,
     NLJoinP,
     PhysicalOp,
     SortP,
+    card_sensitive,
 )
-from repro.physical.properties import SortOrder, order_satisfies
+from repro.physical.properties import OrderCanonicalizer, OrderKey, SortOrder
 from repro.core.systemr.access import generate_access_paths
-from repro.core.systemr.orders import (
-    equivalence_classes,
-    interesting_orders,
-    satisfied_orders,
-)
+from repro.core.systemr.orders import equivalence_classes, interesting_orders
 from repro.stats.propagation import CardinalityEstimator
 from repro.stats.summaries import TableStats
 
@@ -99,29 +102,152 @@ class EnumeratorConfig:
 
 @dataclass
 class EnumeratorStats:
-    """Work counters: the quantities benchmark E1/E3/E10 report."""
+    """Work counters: the quantities benchmark E1/E3/E10 report.
+
+    Attributes:
+        plans_considered: candidates costed (access paths and joins).
+        entries_retained: entries kept per subset, summed over subsets.
+        subsets_examined: relation subsets of size >= 2 visited.
+        plans_materialized: ``PhysicalOp`` nodes constructed -- access
+            paths at seeding, join/sort/materialize nodes only when an
+            entry's plan is read.
+        entries_by_size: retained entries per subset size.
+    """
 
     plans_considered: int = 0
     entries_retained: int = 0
     subsets_examined: int = 0
+    plans_materialized: int = 0
+    entries_by_size: Dict[int, int] = field(default_factory=dict)
+
+    def absorb(self, other: "EnumeratorStats") -> None:
+        """Add another enumeration's counters (a query with several SPJ regions)."""
+        self.plans_considered += other.plans_considered
+        self.entries_retained += other.entries_retained
+        self.subsets_examined += other.subsets_examined
+        self.plans_materialized += other.plans_materialized
+        for size, count in other.entries_by_size.items():
+            self.entries_by_size[size] = self.entries_by_size.get(size, 0) + count
+
+    def summary(self) -> str:
+        """The one-line rendering EXPLAIN and ``\\metrics`` show."""
+        return (
+            f"search: subsets={self.subsets_examined} "
+            f"considered={self.plans_considered} "
+            f"retained={self.entries_retained} "
+            f"materialized={self.plans_materialized}"
+        )
 
 
-@dataclass
 class PlanEntry:
-    """One retained plan for a relation subset.
+    """One costed plan for a relation subset; its operator tree is lazy.
 
-    ``rows_hi``/``cost_hi`` carry the high end of the cardinality
-    uncertainty interval and the plan's cost re-evaluated there; with
-    ``risk_aware`` off they degenerate to ``rows``/``cost.total``.
+    The cost vector travels as three floats (``cpu``/``io``/``comm``,
+    summed in the same association order the ``Cost`` additions of the
+    built tree use, so ``total`` is bit-identical to
+    ``plan.est_cost.total``).  ``order_key`` is the delivered order's
+    canonical key and ``satisfied`` the bitmask of interesting orders it
+    satisfies.  ``rows_hi``/``cost_hi`` carry the high end of the
+    cardinality uncertainty interval and the plan's cost re-evaluated
+    there; with ``risk_aware`` off they degenerate to ``rows``/``total``.
+    Cardinality is a logical property: all entries of one subset share
+    ``rows`` and ``rows_hi``.
+
+    ``plan`` builds the ``PhysicalOp`` tree from the entry's recipe --
+    ``(builder, *arguments)``, the arguments naming the joined child
+    entries -- on first read and keeps it.
     """
 
-    plan: PhysicalOp
-    cost: Cost
-    rows: float
-    order: Optional[SortOrder]
-    satisfied: FrozenSet[SortOrder]
-    rows_hi: float = 0.0
-    cost_hi: float = 0.0
+    __slots__ = (
+        "total", "cpu", "io", "comm", "rows", "rows_hi", "cost_hi",
+        "order", "order_key", "satisfied", "_recipe", "_plan",
+    )
+
+    def __init__(
+        self,
+        total: float,
+        cpu: float,
+        io: float,
+        comm: float,
+        rows: float,
+        rows_hi: float,
+        cost_hi: float,
+        order: Optional[SortOrder],
+        order_key: OrderKey,
+        satisfied: int,
+        recipe: Optional[tuple] = None,
+        plan: Optional[PhysicalOp] = None,
+    ) -> None:
+        self.total = total
+        self.cpu = cpu
+        self.io = io
+        self.comm = comm
+        self.rows = rows
+        self.rows_hi = rows_hi
+        self.cost_hi = cost_hi
+        self.order = order
+        self.order_key = order_key
+        self.satisfied = satisfied
+        self._recipe = recipe
+        self._plan = plan
+
+    @property
+    def cost(self) -> Cost:
+        """The cost vector of the (sub)plan."""
+        return Cost(self.cpu, self.io, self.comm)
+
+    @property
+    def plan(self) -> PhysicalOp:
+        """The physical operator tree, built on first read."""
+        if self._plan is None:
+            build = self._recipe[0]
+            self._plan = build(self, *self._recipe[1:])
+        return self._plan
+
+
+class _Subset:
+    """Logical properties of one relation subset, shared by all its plans,
+    and the enforcer costs that depend on nothing else."""
+
+    __slots__ = (
+        "rows", "rows_hi", "width", "sort", "sort_hi",
+        "materialize", "materialize_hi",
+    )
+
+    def __init__(
+        self, rows: float, rows_hi: float, width: float, params: CostParameters
+    ) -> None:
+        self.rows = rows
+        self.rows_hi = rows_hi
+        self.width = width
+        pages = pages_for_rows(rows, width, params)
+        self.sort = cost_sort(rows, pages, params)
+        self.materialize = cost_materialize(rows, pages, params)
+        self.sort_hi = self.sort
+        self.materialize_hi = self.materialize
+        if rows_hi != rows:
+            pages_hi = pages_for_rows(rows_hi, width, params)
+            self.sort_hi = cost_sort(rows_hi, pages_hi, params)
+            self.materialize_hi = cost_materialize(rows_hi, pages_hi, params)
+
+
+class _JoinSpec:
+    """Everything the candidates of one 2-partition share.
+
+    The connecting predicate and its equi/residual split, the merge
+    orders, and -- because cardinality is per subset, not per plan -- the
+    join cost of every algorithm: a candidate adds these constants to its
+    two children's costs.  ``*_hi`` are the same costs at the interval's
+    high end (totals; 0.0 with ``risk_aware`` off).
+    """
+
+    __slots__ = (
+        "left", "right", "rows", "rows_hi", "predicate", "equi_pairs",
+        "residual", "left_keys", "right_keys", "left_order", "right_order",
+        "left_key", "right_key", "merge_satisfied",
+        "nl_join", "nl_hi", "probes", "merge_join", "merge_hi",
+        "hash_join", "hash_hi",
+    )
 
 
 class SystemRJoinEnumerator:
@@ -135,6 +261,12 @@ class SystemRJoinEnumerator:
         config: search-space knobs.
         extra_orders: additional interesting orders from GROUP BY /
             ORDER BY above the join.
+
+    Besides :meth:`run` / :meth:`best_plan`, four operations form the
+    seam other searches over the same plan space build on (the naive
+    exhaustive baseline does): :meth:`seed`, :meth:`entries`,
+    :meth:`join` and :meth:`prune`, plus :meth:`choose` to pick the
+    winner from a list of full-query entries.
     """
 
     def __init__(
@@ -157,26 +289,39 @@ class SystemRJoinEnumerator:
         self.equivalences = equivalence_classes(graph)
         self.orders = interesting_orders(graph, extra_orders)
         self.stats = EnumeratorStats()
-        self._table: Dict[FrozenSet[str], List[PlanEntry]] = {}
-        self._width_cache: Dict[FrozenSet[str], float] = {}
-        self._interval_cache: Dict[FrozenSet[str], Tuple[float, float]] = {}
+        self._canon = OrderCanonicalizer(
+            self.equivalences,
+            self.orders if config.use_interesting_orders else (),
+        )
+        self._full = (1 << len(graph.aliases)) - 1
+        self._widths = [
+            float(catalog.schema(graph.node(alias).table).row_width_bytes)
+            for alias in graph.aliases
+        ]
+        self._edges = [
+            (mask, edge.predicate, self._equijoin_bits(edge.predicate))
+            for mask, edge in zip(graph.edge_masks, graph.edges)
+        ]
+        self._table: Dict[int, List[PlanEntry]] = {}
+        self._subsets: Dict[int, _Subset] = {}
+        # Single relations (bit -> alias) whose table has an index: the
+        # only inners an index nested-loop join can probe.
+        self._indexed: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def run(self) -> List[PlanEntry]:
         """Enumerate and return the retained entries for the full query."""
-        aliases = self.graph.aliases
-        if not aliases:
+        count = len(self.graph.aliases)
+        if not count:
             raise OptimizerError("query graph has no relations")
-        for alias in aliases:
-            self._seed_relation(alias)
-        full = frozenset(aliases)
-        for size in range(2, len(aliases) + 1):
-            for subset_tuple in itertools.combinations(aliases, size):
-                subset = frozenset(subset_tuple)
-                self._build_subset(subset)
-        entries = self._table.get(full, [])
+        self.seed()
+        bits = [1 << position for position in range(count)]
+        for size in range(2, count + 1):
+            for combination in itertools.combinations(bits, size):
+                self._build_subset(sum(combination), size)
+        entries = self.entries(self._full)
         if not entries:
             raise OptimizerError("enumeration produced no plan for the full query")
         return entries
@@ -185,461 +330,94 @@ class SystemRJoinEnumerator:
         self, required_order: Optional[SortOrder] = None
     ) -> Tuple[PhysicalOp, Cost]:
         """The cheapest full plan, adding a final sort if an order is required."""
-        entries = self._table.get(frozenset(self.graph.aliases)) or self.run()
-        full = frozenset(self.graph.aliases)
-        candidates: List[Tuple[PhysicalOp, Cost, float]] = []
+        return self.choose(self.entries(self._full) or self.run(), required_order)
+
+    def choose(
+        self,
+        entries: Sequence[PlanEntry],
+        required_order: Optional[SortOrder] = None,
+    ) -> Tuple[PhysicalOp, Cost]:
+        """Pick the winner among full-query entries and build its plan.
+
+        An entry whose order does not satisfy ``required_order`` is
+        charged a final sort; only the winner's tree (and sort) is built.
+        """
+        full = self._subset(self._full)
+        required_key = self._canon.key(required_order)
+        candidates: List[Tuple[float, float, PlanEntry, bool]] = []
         for entry in entries:
-            plan, cost, cost_hi = entry.plan, entry.cost, entry.cost_hi
-            if required_order and not order_satisfies(
-                entry.order, required_order, self.equivalences
-            ):
-                sort = SortP(plan, required_order)
-                sort.est_rows = entry.rows
-                extra = cost_sort(
-                    entry.rows, self._pages(full, entry.rows), self.params
-                )
-                sort.est_cost = cost + extra
-                sort.order = required_order
-                extra_hi = cost_sort(
-                    entry.rows_hi, self._pages(full, entry.rows_hi), self.params
-                )
-                plan, cost = sort, sort.est_cost
-                cost_hi = entry.cost_hi + extra_hi.total
-            candidates.append((plan, cost, cost_hi))
-        best = min(candidates, key=lambda c: c[1].total)
+            total, cost_hi = entry.total, entry.cost_hi
+            needs_sort = bool(required_key) and not self._canon.key_satisfies(
+                entry.order_key, required_key
+            )
+            if needs_sort:
+                total = (entry.cost + full.sort).total
+                cost_hi += full.sort_hi.total
+            candidates.append((total, cost_hi, entry, needs_sort))
+        best = min(candidates, key=lambda c: c[0])
         if self.config.risk_aware:
             # Risk-aware tie-break: among plans whose expected cost is
             # within (1 + epsilon) of the cheapest, prefer the least
             # worst-case cost over the uncertainty interval.
-            window = best[1].total * (1.0 + self.config.risk_epsilon)
-            near = [c for c in candidates if c[1].total <= window]
-            best = min(near, key=lambda c: (c[2], c[1].total))
-        plan, cost, cost_hi = best
-        plan.est_cost_hi = max(cost_hi, cost.total)
-        return plan, cost
+            window = best[0] * (1.0 + self.config.risk_epsilon)
+            near = [c for c in candidates if c[0] <= window]
+            best = min(near, key=lambda c: (c[1], c[0]))
+        total, cost_hi, entry, needs_sort = best
+        plan = entry.plan
+        if needs_sort:
+            plan = self._sorted(entry, full, required_order)
+        plan.est_cost_hi = max(cost_hi, total)
+        return plan, plan.est_cost
 
     # ------------------------------------------------------------------
-    # Seeding: access paths
+    # The seam: seed / entries / join / prune
     # ------------------------------------------------------------------
-    def _seed_relation(self, alias: str) -> None:
-        entries: List[PlanEntry] = []
-        subset = frozenset((alias,))
-        rows_hi: Optional[float] = None
-        if self.config.risk_aware:
-            rows_hi = self._subset_hi(subset)
-        for path in generate_access_paths(
-            alias, self.graph, self.catalog, self.estimator, self.params
-        ):
-            self.stats.plans_considered += 1
-            cost_hi = path.est_cost.total
-            if rows_hi is not None and self._card_sensitive(path):
-                # An index scan's cost is per matching row; a sequential
-                # scan reads the whole table no matter what the predicate
-                # selects, so only the former inflates at the high bound.
-                cost_hi *= rows_hi / max(path.est_rows, 1.0)
-            entry = PlanEntry(
-                plan=path,
-                cost=path.est_cost,
-                rows=path.est_rows,
-                order=path.order,
-                satisfied=self._satisfied(path.order),
-                rows_hi=path.est_rows if rows_hi is None else rows_hi,
-                cost_hi=cost_hi,
+    def seed(self) -> None:
+        """Cost every access path of every relation (the size-1 subsets)."""
+        risk = self.config.risk_aware
+        graph = self.graph
+        for position, alias in enumerate(graph.aliases):
+            bit = 1 << position
+            paths = generate_access_paths(
+                alias, graph, self.catalog, self.estimator, self.params
             )
-            self._insert(entries, entry)
-        self._table[subset] = entries
-        self.stats.entries_retained += len(entries)
-
-    @staticmethod
-    def _card_sensitive(op: PhysicalOp) -> bool:
-        if isinstance(op, IndexScanP):
-            return True
-        return any(
-            SystemRJoinEnumerator._card_sensitive(child)
-            for child in op.children()
-        )
-
-    def _subset_hi(self, subset: FrozenSet[str]) -> float:
-        if subset not in self._interval_cache:
-            self._interval_cache[subset] = self.estimator.relation_set_interval(
-                subset, self.graph
+            rows = rows_hi = paths[0].est_rows
+            if risk:
+                rows_hi = self.estimator.relation_set_interval(
+                    frozenset((alias,)), graph
+                )[1]
+            self._subsets[bit] = _Subset(
+                rows, rows_hi, self._width(bit), self.params
             )
-        return self._interval_cache[subset][1]
-
-    # ------------------------------------------------------------------
-    # DP step
-    # ------------------------------------------------------------------
-    def _build_subset(self, subset: FrozenSet[str]) -> None:
-        self.stats.subsets_examined += 1
-        entries: List[PlanEntry] = []
-        partitions = list(self._partitions(subset))
-        connected = [
-            pair for pair in partitions if self.graph.connected(pair[0], pair[1])
-        ]
-        if self.config.allow_cartesian:
-            usable = partitions
-        elif connected:
-            usable = connected
-        else:
-            # Cartesian products are deferred (Section 3): a disconnected
-            # subset is built only when unavoidable -- the full query, or
-            # a subset with no join edge to the outside (a union of whole
-            # components, which must eventually be crossed anyway).
-            full = frozenset(self.graph.aliases)
-            has_outside_edge = bool(self.graph.neighbours(subset))
-            if subset == full or not has_outside_edge:
-                usable = partitions
-            else:
-                return
-        rows = self.estimator.relation_set_cardinality(subset, self.graph)
-        rows_hi = self._subset_hi(subset) if self.config.risk_aware else rows
-        for left_set, right_set in usable:
-            left_entries = self._table.get(left_set, [])
-            right_entries = self._table.get(right_set, [])
-            if not left_entries or not right_entries:
-                continue
-            for candidate in self._join_candidates(
-                left_set, right_set, left_entries, right_entries, rows, rows_hi
-            ):
-                self._insert(entries, candidate)
-        if entries:
-            self._table[subset] = entries
-            self.stats.entries_retained += len(entries)
-
-    def _partitions(self, subset: FrozenSet[str]):
-        if self.config.bushy:
-            items = sorted(subset)
-            for mask in range(1, 2 ** len(items) - 1):
-                left = frozenset(
-                    items[i] for i in range(len(items)) if mask & (1 << i)
+            if self.catalog.indexes_on(graph.node(alias).table):
+                self._indexed[bit] = alias
+            entries: List[PlanEntry] = []
+            for path in paths:
+                cost = path.est_cost
+                cost_hi = cost.total
+                if risk and card_sensitive(path):
+                    # An index scan's cost is per matching row; a sequential
+                    # scan reads the whole table no matter what the predicate
+                    # selects, so only the former inflates at the high bound.
+                    cost_hi *= rows_hi / max(path.est_rows, 1.0)
+                key = self._canon.key(path.order)
+                self.prune(
+                    entries,
+                    PlanEntry(
+                        cost.total, cost.cpu, cost.io, cost.comm,
+                        path.est_rows, rows_hi, cost_hi, path.order, key,
+                        self._canon.satisfied_mask(key), plan=path,
+                    ),
                 )
-                yield left, subset - left
-        else:
-            for alias in sorted(subset):
-                rest = subset - {alias}
-                if rest:
-                    yield rest, frozenset((alias,))
+            self.stats.plans_considered += len(paths)
+            self.stats.plans_materialized += len(paths)
+            self._retain(bit, 1, entries)
 
-    # ------------------------------------------------------------------
-    # Join methods
-    # ------------------------------------------------------------------
-    def _join_candidates(
-        self,
-        left_set: FrozenSet[str],
-        right_set: FrozenSet[str],
-        left_entries: List[PlanEntry],
-        right_entries: List[PlanEntry],
-        rows: float,
-        rows_hi: float,
-    ):
-        predicate = self.graph.connecting_predicate(left_set, right_set)
-        equi_pairs, residual = self._split_equi(predicate, left_set, right_set)
-        # Every join algorithm for this 2-partition applies the same
-        # connecting predicate; stamp its fingerprint so the runtime
-        # harvest can attribute observed join selectivity to it.
-        edge_fp = self.estimator.selectivity.predicate_fingerprint(predicate)
-        algorithms = self.config.join_algorithms
-        for left in left_entries:
-            if "nl" in algorithms:
-                for right in right_entries:
-                    yield self._nested_loop(
-                        left, right, right_set, predicate, rows, rows_hi,
-                        edge_fp,
-                    )
-            if "inl" in algorithms and len(right_set) == 1 and equi_pairs:
-                yield from self._index_nested_loop(
-                    left, next(iter(right_set)), equi_pairs, residual, rows,
-                    rows_hi, edge_fp,
-                )
-            if "merge" in algorithms and equi_pairs:
-                for right in right_entries:
-                    yield self._merge(
-                        left, right, left_set, right_set, equi_pairs, residual,
-                        rows, rows_hi, edge_fp,
-                    )
-            if "hash" in algorithms and equi_pairs:
-                for right in right_entries:
-                    yield self._hash(
-                        left, right, right_set, equi_pairs, residual, rows,
-                        rows_hi, edge_fp,
-                    )
+    def entries(self, mask: int) -> List[PlanEntry]:
+        """The retained entries of a relation subset (empty when none)."""
+        return self._table.get(mask, [])
 
-    def _split_equi(
-        self,
-        predicate: Optional[Expr],
-        left_set: FrozenSet[str],
-        right_set: FrozenSet[str],
-    ) -> Tuple[List[Tuple[ColumnRef, ColumnRef]], Optional[Expr]]:
-        pairs: List[Tuple[ColumnRef, ColumnRef]] = []
-        residual: List[Expr] = []
-        for conjunct in conjuncts(predicate):
-            if (
-                isinstance(conjunct, Comparison)
-                and conjunct.op is ComparisonOp.EQ
-                and isinstance(conjunct.left, ColumnRef)
-                and isinstance(conjunct.right, ColumnRef)
-            ):
-                l, r = conjunct.left, conjunct.right
-                if l.table in left_set and r.table in right_set:
-                    pairs.append((l, r))
-                    continue
-                if r.table in left_set and l.table in right_set:
-                    pairs.append((r, l))
-                    continue
-            residual.append(conjunct)
-        return pairs, conjoin(residual)
-
-    def _nested_loop(
-        self,
-        left: PlanEntry,
-        right: PlanEntry,
-        right_set: FrozenSet[str],
-        predicate: Optional[Expr],
-        rows: float,
-        rows_hi: float,
-        edge_fp: Optional[str] = None,
-    ) -> PlanEntry:
-        self.stats.plans_considered += 1
-        inner = MaterializeP(right.plan)
-        inner_pages = self._pages(right_set, right.rows)
-        inner.est_rows = right.rows
-        inner.est_cost = right.cost + cost_materialize(
-            right.rows, inner_pages, self.params
-        )
-        inner.order = right.order
-        rescan = Cost(cpu=right.rows * self.params.cpu_tuple_cost)
-        join_cost = cost_nested_loop_join(
-            left.rows, rescan, right.rows, len(conjuncts(predicate)), self.params
-        )
-        plan = NLJoinP(left.plan, inner, predicate, JoinKind.INNER)
-        plan.est_rows = rows
-        plan.est_cost = left.cost + inner.est_cost + join_cost
-        plan.order = left.order  # NL preserves the outer order
-        plan.feedback_fingerprint = edge_fp
-        cost_hi = None
-        if self.config.risk_aware:
-            rescan_hi = Cost(cpu=right.rows_hi * self.params.cpu_tuple_cost)
-            join_hi = cost_nested_loop_join(
-                left.rows_hi, rescan_hi, right.rows_hi,
-                len(conjuncts(predicate)), self.params,
-            )
-            inner_hi = cost_materialize(
-                right.rows_hi, self._pages(right_set, right.rows_hi), self.params
-            )
-            cost_hi = (
-                left.cost_hi + right.cost_hi + inner_hi.total + join_hi.total
-            )
-        return self._entry(plan, cost_hi=cost_hi, rows_hi=rows_hi)
-
-    def _index_nested_loop(
-        self,
-        left: PlanEntry,
-        inner_alias: str,
-        equi_pairs: List[Tuple[ColumnRef, ColumnRef]],
-        residual: Optional[Expr],
-        rows: float,
-        rows_hi: float,
-        edge_fp: Optional[str] = None,
-    ):
-        node = self.graph.node(inner_alias)
-        table = self.catalog.table(node.table)
-        for index in self.catalog.indexes_on(node.table):
-            matched: List[Tuple[ColumnRef, ColumnRef]] = []
-            for column in index.definition.columns:
-                pair = next(
-                    (p for p in equi_pairs if p[1].column == column), None
-                )
-                if pair is None:
-                    break
-                matched.append(pair)
-            if not matched:
-                continue
-            self.stats.plans_considered += 1
-            unmatched = [p for p in equi_pairs if p not in matched]
-            residual_parts = list(conjuncts(residual))
-            residual_parts.extend(
-                Comparison(ComparisonOp.EQ, l, r) for l, r in unmatched
-            )
-            local = node.local_predicate()
-            if local is not None:
-                residual_parts.append(local)
-            selectivity = 1.0
-            for _l, r in matched:
-                distinct = self.estimator.selectivity.distinct_count(r)
-                selectivity *= 1.0 / distinct if distinct else 0.1
-            matches_per_outer = max(table.row_count * selectivity, 0.0)
-            join_cost = cost_index_nested_loop_join(
-                left.rows,
-                matches_per_outer,
-                float(table.row_count),
-                float(table.page_count),
-                index.height,
-                index.definition.clustered,
-                self.params,
-            )
-            plan = INLJoinP(
-                left.plan,
-                node.table,
-                inner_alias,
-                table.schema.column_names,
-                index.definition.name,
-                [l for l, _r in matched],
-                JoinKind.INNER,
-                conjoin(residual_parts),
-                column_types=table.schema.column_types,
-            )
-            plan.est_rows = rows
-            plan.est_cost = left.cost + join_cost
-            plan.order = left.order
-            if local is None:
-                # With a local predicate folded into the residual, the
-                # operator's output no longer reflects the join edge
-                # alone; only the clean case is attributed to the edge.
-                plan.feedback_fingerprint = edge_fp
-            cost_hi = None
-            if self.config.risk_aware:
-                # The INL trap: per-probe cost looks negligible at the
-                # estimated outer cardinality (warm buffer pool), but it
-                # is paid once per outer row -- at the interval's high
-                # end the probes dominate everything else in the plan.
-                join_hi = cost_index_nested_loop_join(
-                    left.rows_hi,
-                    matches_per_outer,
-                    float(table.row_count),
-                    float(table.page_count),
-                    index.height,
-                    index.definition.clustered,
-                    self.params,
-                )
-                cost_hi = left.cost_hi + join_hi.total
-            yield self._entry(plan, cost_hi=cost_hi, rows_hi=rows_hi)
-
-    def _merge(
-        self,
-        left: PlanEntry,
-        right: PlanEntry,
-        left_set: FrozenSet[str],
-        right_set: FrozenSet[str],
-        equi_pairs: List[Tuple[ColumnRef, ColumnRef]],
-        residual: Optional[Expr],
-        rows: float,
-        rows_hi: float,
-        edge_fp: Optional[str] = None,
-    ) -> PlanEntry:
-        self.stats.plans_considered += 1
-        left_keys = [l for l, _r in equi_pairs]
-        right_keys = [r for _l, r in equi_pairs]
-        left_order: SortOrder = tuple((ref, True) for ref in left_keys)
-        right_order: SortOrder = tuple((ref, True) for ref in right_keys)
-        left_plan, left_cost, left_hi = self._ensure_order(
-            left.plan, left.cost, left.rows, left.order, left_order, left_set,
-            left.cost_hi, left.rows_hi,
-        )
-        right_plan, right_cost, right_hi = self._ensure_order(
-            right.plan, right.cost, right.rows, right.order, right_order,
-            right_set, right.cost_hi, right.rows_hi,
-        )
-        merge_cost = cost_merge_join(left.rows, right.rows, rows, self.params)
-        plan = MergeJoinP(
-            left_plan, right_plan, left_keys, right_keys, JoinKind.INNER, residual
-        )
-        plan.est_rows = rows
-        plan.est_cost = left_cost + right_cost + merge_cost
-        plan.order = left_order  # merge output is ordered on the join keys
-        plan.feedback_fingerprint = edge_fp
-        cost_hi = None
-        if self.config.risk_aware:
-            merge_hi = cost_merge_join(
-                left.rows_hi, right.rows_hi, rows_hi, self.params
-            )
-            cost_hi = left_hi + right_hi + merge_hi.total
-        return self._entry(plan, cost_hi=cost_hi, rows_hi=rows_hi)
-
-    def _hash(
-        self,
-        left: PlanEntry,
-        right: PlanEntry,
-        right_set: FrozenSet[str],
-        equi_pairs: List[Tuple[ColumnRef, ColumnRef]],
-        residual: Optional[Expr],
-        rows: float,
-        rows_hi: float,
-        edge_fp: Optional[str] = None,
-    ) -> PlanEntry:
-        self.stats.plans_considered += 1
-        left_keys = [l for l, _r in equi_pairs]
-        right_keys = [r for _l, r in equi_pairs]
-        build_pages = self._pages(right_set, right.rows)
-        probe_pages = pages_for_rows(left.rows, 16.0, self.params)
-        join_cost = cost_hash_join(
-            right.rows, build_pages, left.rows, probe_pages, rows, self.params
-        )
-        plan = HashJoinP(
-            left.plan, right.plan, left_keys, right_keys, JoinKind.INNER, residual
-        )
-        plan.est_rows = rows
-        plan.est_cost = left.cost + right.cost + join_cost
-        plan.order = None  # hashing destroys order
-        plan.feedback_fingerprint = edge_fp
-        cost_hi = None
-        if self.config.risk_aware:
-            join_hi = cost_hash_join(
-                right.rows_hi,
-                self._pages(right_set, right.rows_hi),
-                left.rows_hi,
-                pages_for_rows(left.rows_hi, 16.0, self.params),
-                rows_hi,
-                self.params,
-            )
-            cost_hi = left.cost_hi + right.cost_hi + join_hi.total
-        return self._entry(plan, cost_hi=cost_hi, rows_hi=rows_hi)
-
-    def _ensure_order(
-        self,
-        plan: PhysicalOp,
-        cost: Cost,
-        rows: float,
-        delivered: Optional[SortOrder],
-        required: SortOrder,
-        aliases: FrozenSet[str],
-        cost_hi: float = 0.0,
-        rows_hi: float = 0.0,
-    ) -> Tuple[PhysicalOp, Cost, float]:
-        if order_satisfies(delivered, required, self.equivalences):
-            return plan, cost, cost_hi
-        sort = SortP(plan, required)
-        sort.est_rows = rows
-        extra = cost_sort(rows, self._pages(aliases, rows), self.params)
-        sort.est_cost = cost + extra
-        sort.order = required
-        extra_hi = cost_sort(rows_hi, self._pages(aliases, rows_hi), self.params)
-        return sort, sort.est_cost, cost_hi + extra_hi.total
-
-    # ------------------------------------------------------------------
-    # Entry management
-    # ------------------------------------------------------------------
-    def _entry(
-        self,
-        plan: PhysicalOp,
-        cost_hi: Optional[float] = None,
-        rows_hi: Optional[float] = None,
-    ) -> PlanEntry:
-        return PlanEntry(
-            plan=plan,
-            cost=plan.est_cost,
-            rows=plan.est_rows,
-            order=plan.order,
-            satisfied=self._satisfied(plan.order),
-            rows_hi=plan.est_rows if rows_hi is None else rows_hi,
-            cost_hi=plan.est_cost.total if cost_hi is None else cost_hi,
-        )
-
-    def _satisfied(self, order: Optional[SortOrder]) -> FrozenSet[SortOrder]:
-        if not self.config.use_interesting_orders:
-            return frozenset()
-        return satisfied_orders(order, self.orders, self.equivalences)
-
-    def _insert(self, entries: List[PlanEntry], candidate: PlanEntry) -> None:
+    def prune(self, entries: List[PlanEntry], candidate: PlanEntry) -> None:
         """Dominance pruning: keep the Pareto frontier over (cost, orders).
 
         With ``risk_aware`` on, worst-case cost joins the frontier
@@ -648,36 +426,499 @@ class SystemRJoinEnumerator:
         end survives to the final risk tie-break instead of being pruned
         bottom-up.
         """
+        if self._admits(
+            entries, candidate.total, candidate.satisfied, candidate.cost_hi
+        ):
+            entries.append(candidate)
+
+    def join(
+        self,
+        left_mask: int,
+        right_mask: int,
+        left_entries: Sequence[PlanEntry],
+        right_entries: Sequence[PlanEntry],
+        into: List[PlanEntry],
+    ) -> None:
+        """Cost every join of a left entry with a right entry, under every
+        enabled algorithm, and prune the candidates into ``into``."""
+        self._join(
+            self._join_spec(left_mask, right_mask), left_entries, right_entries, into
+        )
+
+    def _join(self, spec, left_entries, right_entries, into) -> None:
+        algorithms = self.config.join_algorithms
+        equi = bool(spec.equi_pairs)
+        nested_loop = "nl" in algorithms
+        merge = equi and "merge" in algorithms
+        hashed = equi and "hash" in algorithms
+        inners = self._materialized(spec, right_entries) if nested_loop else ()
+        ordered = self._ensure_order(spec, right_entries) if merge else ()
+        for left in left_entries:
+            if nested_loop:
+                self._nested_loop(spec, left, inners, into)
+            if spec.probes:
+                self._index_nested_loop(spec, left, into)
+            if merge:
+                self._merge(spec, left, ordered, into)
+            if hashed:
+                self._hash(spec, left, right_entries, into)
+
+    # ------------------------------------------------------------------
+    # DP step
+    # ------------------------------------------------------------------
+    def _build_subset(self, subset: int, size: int) -> None:
+        self.stats.subsets_examined += 1
+        connected_only = False
+        if not self.config.allow_cartesian:
+            connected_only = self.graph.has_edge_within(subset)
+            # Cartesian products are deferred (Section 3): a subset no
+            # 2-partition of which is connected is built only when
+            # unavoidable -- the full query, or a subset with no join
+            # edge to the outside (a union of whole components, which
+            # must eventually be crossed anyway).
+            if (
+                not connected_only
+                and subset != self._full
+                and self.graph.neighbour_mask(subset)
+            ):
+                return
+        entries: List[PlanEntry] = []
+        table = self._table
+        for left_mask, right_mask in self._partitions(subset):
+            left_entries = table.get(left_mask)
+            right_entries = table.get(right_mask)
+            if not left_entries or not right_entries:
+                continue
+            spec = self._join_spec(left_mask, right_mask, connected_only)
+            if spec is not None:
+                self._join(spec, left_entries, right_entries, entries)
+        if entries:
+            self._retain(subset, size, entries)
+
+    def _partitions(self, subset: int) -> Iterator[Tuple[int, int]]:
+        """2-partitions in ascending order of the left side's sorted aliases."""
+        if self.config.bushy:
+            left = (-subset) & subset
+            while left != subset:
+                yield left, subset ^ left
+                left = (left - subset) & subset
+        else:
+            remaining = subset
+            while remaining:
+                bit = remaining & -remaining
+                remaining ^= bit
+                yield subset ^ bit, bit
+
+    def _retain(self, mask: int, size: int, entries: List[PlanEntry]) -> None:
+        self._table[mask] = entries
+        self.stats.entries_retained += len(entries)
+        by_size = self.stats.entries_by_size
+        by_size[size] = by_size.get(size, 0) + len(entries)
+
+    def _admits(
+        self, entries: List[PlanEntry], total: float, satisfied: int, cost_hi: float
+    ) -> bool:
+        """Whether a candidate with these scalars survives ``entries``;
+        if so, the entries it dominates are dropped."""
         risk = self.config.risk_aware
         for existing in entries:
             if (
-                existing.cost.total <= candidate.cost.total
-                and existing.satisfied >= candidate.satisfied
-                and (not risk or existing.cost_hi <= candidate.cost_hi)
+                existing.total <= total
+                and existing.satisfied | satisfied == existing.satisfied
+                and (not risk or existing.cost_hi <= cost_hi)
             ):
-                return
+                return False
         entries[:] = [
             existing
             for existing in entries
             if not (
-                candidate.cost.total <= existing.cost.total
-                and candidate.satisfied >= existing.satisfied
-                and (not risk or candidate.cost_hi <= existing.cost_hi)
+                total <= existing.total
+                and satisfied | existing.satisfied == satisfied
+                and (not risk or cost_hi <= existing.cost_hi)
             )
         ]
-        entries.append(candidate)
+        return True
 
     # ------------------------------------------------------------------
-    # Helpers
+    # Per-subset and per-partition invariants
     # ------------------------------------------------------------------
-    def _width(self, aliases: FrozenSet[str]) -> float:
-        if aliases not in self._width_cache:
-            width = 0.0
-            for alias in aliases:
-                table = self.graph.node(alias).table
-                width += self.catalog.schema(table).row_width_bytes
-            self._width_cache[aliases] = width
-        return self._width_cache[aliases]
+    def _width(self, mask: int) -> float:
+        return sum(
+            width for position, width in enumerate(self._widths)
+            if mask >> position & 1
+        )
 
-    def _pages(self, aliases: FrozenSet[str], rows: float) -> float:
-        return pages_for_rows(rows, self._width(aliases), self.params)
+    def _subset(self, mask: int) -> _Subset:
+        subset = self._subsets.get(mask)
+        if subset is None:
+            aliases = frozenset(self.graph.aliases_in(mask))
+            rows = rows_hi = self.estimator.relation_set_cardinality(
+                aliases, self.graph
+            )
+            if self.config.risk_aware:
+                rows_hi = self.estimator.relation_set_interval(
+                    aliases, self.graph
+                )[1]
+            subset = self._subsets[mask] = _Subset(
+                rows, rows_hi, self._width(mask), self.params
+            )
+        return subset
+
+    def _join_spec(
+        self, left_mask: int, right_mask: int, connected_only: bool = False
+    ) -> Optional[_JoinSpec]:
+        """The shared part of joining two subsets; None when
+        ``connected_only`` and no edge connects them."""
+        # Each edge predicate is one conjunct of the connecting predicate
+        # (QueryGraph splits conjunctions, BoolExpr flattens nested ANDs).
+        outside = ~(left_mask | right_mask)
+        connecting: List[Expr] = []
+        pairs: List[Tuple[ColumnRef, ColumnRef]] = []
+        residual: List[Expr] = []
+        for mask, predicate, equijoin in self._edges:
+            if not (mask & left_mask and mask & right_mask) or mask & outside:
+                continue
+            connecting.append(predicate)
+            if equijoin is not None:
+                l, l_bit, r, r_bit = equijoin
+                if l_bit & left_mask and r_bit & right_mask:
+                    pairs.append((l, r))
+                    continue
+                if r_bit & left_mask and l_bit & right_mask:
+                    pairs.append((r, l))
+                    continue
+            residual.append(predicate)
+        if connected_only and not connecting:
+            return None
+        params = self.params
+        risk = self.config.risk_aware
+        algorithms = self.config.join_algorithms
+        spec = _JoinSpec()
+        left = spec.left = self._subset(left_mask)
+        right = spec.right = self._subset(right_mask)
+        out = self._subset(left_mask | right_mask)
+        rows = spec.rows = out.rows
+        rows_hi = spec.rows_hi = out.rows_hi
+        spec.predicate = conjoin(connecting)
+        spec.residual = conjoin(residual)
+        spec.equi_pairs = pairs
+        spec.probes = ()
+        if "nl" in algorithms:
+            operators = len(connecting)
+            spec.nl_join = cost_nested_loop_join(
+                left.rows, Cost(cpu=right.rows * params.cpu_tuple_cost),
+                right.rows, operators, params,
+            )
+            spec.nl_hi = 0.0
+            if risk:
+                spec.nl_hi = cost_nested_loop_join(
+                    left.rows_hi, Cost(cpu=right.rows_hi * params.cpu_tuple_cost),
+                    right.rows_hi, operators, params,
+                ).total
+        if not pairs:
+            return spec
+        if "inl" in algorithms and right_mask in self._indexed:
+            spec.probes = self._index_probes(spec, self._indexed[right_mask])
+        spec.left_keys = [l for l, _r in pairs]
+        spec.right_keys = [r for _l, r in pairs]
+        if "merge" in algorithms:
+            spec.left_order = tuple((ref, True) for ref in spec.left_keys)
+            spec.right_order = tuple((ref, True) for ref in spec.right_keys)
+            spec.left_key = self._canon.key(spec.left_order)
+            spec.right_key = self._canon.key(spec.right_order)
+            spec.merge_satisfied = self._canon.satisfied_mask(spec.left_key)
+            spec.merge_join = cost_merge_join(left.rows, right.rows, rows, params)
+            spec.merge_hi = 0.0
+            if risk:
+                spec.merge_hi = cost_merge_join(
+                    left.rows_hi, right.rows_hi, rows_hi, params
+                ).total
+        if "hash" in algorithms:
+            spec.hash_join = cost_hash_join(
+                right.rows,
+                pages_for_rows(right.rows, right.width, params),
+                left.rows,
+                pages_for_rows(left.rows, 16.0, params),
+                rows,
+                params,
+            )
+            spec.hash_hi = 0.0
+            if risk:
+                spec.hash_hi = cost_hash_join(
+                    right.rows_hi,
+                    pages_for_rows(right.rows_hi, right.width, params),
+                    left.rows_hi,
+                    pages_for_rows(left.rows_hi, 16.0, params),
+                    rows_hi,
+                    params,
+                ).total
+        return spec
+
+    def _equijoin_bits(
+        self, predicate: Expr
+    ) -> Optional[Tuple[ColumnRef, int, ColumnRef, int]]:
+        """``(left column, its relation's bit, right column, its bit)`` of
+        a column = column predicate; None for any other predicate."""
+        if (
+            isinstance(predicate, Comparison)
+            and predicate.op is ComparisonOp.EQ
+            and isinstance(predicate.left, ColumnRef)
+            and isinstance(predicate.right, ColumnRef)
+        ):
+            l, r = predicate.left, predicate.right
+            mask_of = self.graph.mask_of
+            return l, mask_of((l.table,)), r, mask_of((r.table,))
+        return None
+
+    def _fingerprint(self, spec: _JoinSpec) -> Optional[str]:
+        """Stamped on a built join so the runtime harvest can attribute
+        observed join selectivity to the connecting predicate."""
+        return self.estimator.selectivity.predicate_fingerprint(spec.predicate)
+
+    # ------------------------------------------------------------------
+    # Join methods: each costs candidates as scalars, and the builder
+    # next to it turns a surviving entry into operators.
+    # ------------------------------------------------------------------
+    def _stamp(
+        self, plan: PhysicalOp, entry: PlanEntry, fingerprint: Optional[str]
+    ) -> PhysicalOp:
+        plan.est_rows = entry.rows
+        plan.est_cost = entry.cost
+        plan.order = entry.order
+        plan.feedback_fingerprint = fingerprint
+        return plan
+
+    def _materialized(
+        self, spec: _JoinSpec, right_entries: Sequence[PlanEntry]
+    ) -> List[Tuple[PlanEntry, float, float, float]]:
+        """Each inner with its materialization charged: the nested-loop
+        join rescans a materialized inner."""
+        cost = spec.right.materialize
+        return [
+            (right, right.cpu + cost.cpu, right.io + cost.io, right.comm + cost.comm)
+            for right in right_entries
+        ]
+
+    def _offer(
+        self, into, spec, cpu, io, comm, cost_hi, order, order_key, satisfied, *recipe
+    ) -> None:
+        """Keep a join candidate in ``into`` unless an entry dominates it
+        (``cost_hi`` counts under ``risk_aware`` only)."""
+        total = cpu + io + comm
+        if not self.config.risk_aware:
+            cost_hi = total
+        if self._admits(into, total, satisfied, cost_hi):
+            into.append(
+                PlanEntry(
+                    total, cpu, io, comm, spec.rows, spec.rows_hi, cost_hi,
+                    order, order_key, satisfied, recipe,
+                )
+            )
+
+    def _nested_loop(self, spec, left, inners, into: List[PlanEntry]) -> None:
+        self.stats.plans_considered += len(inners)
+        join = spec.nl_join
+        materialize_hi = spec.right.materialize_hi.total
+        for right, inner_cpu, inner_io, inner_comm in inners:
+            self._offer(
+                into, spec,
+                left.cpu + inner_cpu + join.cpu,
+                left.io + inner_io + join.io,
+                left.comm + inner_comm + join.comm,
+                left.cost_hi + right.cost_hi + materialize_hi + spec.nl_hi,
+                # NL preserves the outer order.
+                left.order, left.order_key, left.satisfied,
+                self._build_nested_loop, spec, left, right,
+            )
+
+    def _build_nested_loop(self, entry, spec, left, right) -> PhysicalOp:
+        inner = MaterializeP(right.plan)
+        inner.est_rows = right.rows
+        inner.est_cost = right.cost + spec.right.materialize
+        inner.order = right.order
+        self.stats.plans_materialized += 2
+        plan = NLJoinP(left.plan, inner, spec.predicate, JoinKind.INNER)
+        return self._stamp(plan, entry, self._fingerprint(spec))
+
+    def _index_probes(self, spec: _JoinSpec, alias: str) -> List[tuple]:
+        """``(alias, index, matched pairs, probe cost, its total at the
+        high end)`` for each index of the inner relation whose leading
+        columns the equijoin pairs cover."""
+        node = self.graph.node(alias)
+        table = self.catalog.table(node.table)
+        probes = []
+        for index in self.catalog.indexes_on(node.table):
+            matched: List[Tuple[ColumnRef, ColumnRef]] = []
+            for column in index.definition.columns:
+                pair = next(
+                    (p for p in spec.equi_pairs if p[1].column == column), None
+                )
+                if pair is None:
+                    break
+                matched.append(pair)
+            if not matched:
+                continue
+            selectivity = 1.0
+            for _l, r in matched:
+                distinct = self.estimator.selectivity.distinct_count(r)
+                selectivity *= 1.0 / distinct if distinct else 0.1
+
+            def probe_cost(outer_rows: float) -> Cost:
+                return cost_index_nested_loop_join(
+                    outer_rows,
+                    max(table.row_count * selectivity, 0.0),
+                    float(table.row_count),
+                    float(table.page_count),
+                    index.height,
+                    index.definition.clustered,
+                    self.params,
+                )
+
+            # The INL trap: per-probe cost looks negligible at the
+            # estimated outer cardinality (warm buffer pool), but it is
+            # paid once per outer row -- at the interval's high end the
+            # probes dominate everything else in the plan.
+            join_hi = (
+                probe_cost(spec.left.rows_hi).total if self.config.risk_aware else 0.0
+            )
+            probes.append((alias, index, matched, probe_cost(spec.left.rows), join_hi))
+        return probes
+
+    def _index_nested_loop(self, spec, left, into: List[PlanEntry]) -> None:
+        self.stats.plans_considered += len(spec.probes)
+        for probe in spec.probes:
+            join, join_hi = probe[3:]
+            self._offer(
+                into, spec,
+                left.cpu + join.cpu, left.io + join.io, left.comm + join.comm,
+                left.cost_hi + join_hi,
+                left.order, left.order_key, left.satisfied,
+                self._build_index_nested_loop, spec, left, probe,
+            )
+
+    def _build_index_nested_loop(self, entry, spec, left, probe) -> PhysicalOp:
+        alias, index, matched = probe[:3]
+        node = self.graph.node(alias)
+        table = self.catalog.table(node.table)
+        residual_parts = list(conjuncts(spec.residual))
+        residual_parts.extend(
+            Comparison(ComparisonOp.EQ, l, r)
+            for l, r in spec.equi_pairs
+            if (l, r) not in matched
+        )
+        local = node.local_predicate()
+        if local is not None:
+            residual_parts.append(local)
+        self.stats.plans_materialized += 1
+        plan = INLJoinP(
+            left.plan,
+            node.table,
+            alias,
+            table.schema.column_names,
+            index.definition.name,
+            [l for l, _r in matched],
+            JoinKind.INNER,
+            conjoin(residual_parts),
+            column_types=table.schema.column_types,
+        )
+        # With a local predicate folded into the residual, the
+        # operator's output no longer reflects the join edge alone;
+        # only the clean case is attributed to the edge.
+        fingerprint = self._fingerprint(spec) if local is None else None
+        return self._stamp(plan, entry, fingerprint)
+
+    def _ensure_order(
+        self, spec: _JoinSpec, right_entries: Sequence[PlanEntry]
+    ) -> List[Tuple[PlanEntry, bool, float, float, float, float]]:
+        """Each merge inner with a sort charged unless its order already
+        satisfies the join keys."""
+        return [
+            (right, *self._sort_charged(right, spec.right, spec.right_key))
+            for right in right_entries
+        ]
+
+    def _sort_charged(
+        self, entry: PlanEntry, subset: _Subset, required: OrderKey
+    ) -> Tuple[bool, float, float, float, float]:
+        """``(sort needed, cpu, io, comm, cost_hi)`` of ``entry`` delivered
+        in the ``required`` order."""
+        if entry.order_key[: len(required)] == required:
+            return False, entry.cpu, entry.io, entry.comm, entry.cost_hi
+        sort = subset.sort
+        return (
+            True,
+            entry.cpu + sort.cpu,
+            entry.io + sort.io,
+            entry.comm + sort.comm,
+            entry.cost_hi + subset.sort_hi.total,
+        )
+
+    def _merge(self, spec, left, ordered, into: List[PlanEntry]) -> None:
+        self.stats.plans_considered += len(ordered)
+        join = spec.merge_join
+        sort_left, left_cpu, left_io, left_comm, left_hi = self._sort_charged(
+            left, spec.left, spec.left_key
+        )
+        for right, sort_right, right_cpu, right_io, right_comm, right_hi in ordered:
+            self._offer(
+                into, spec,
+                left_cpu + right_cpu + join.cpu,
+                left_io + right_io + join.io,
+                left_comm + right_comm + join.comm,
+                left_hi + right_hi + spec.merge_hi,
+                # Merge output is ordered on the join keys.
+                spec.left_order, spec.left_key, spec.merge_satisfied,
+                self._build_merge, spec, left, right, sort_left, sort_right,
+            )
+
+    def _build_merge(
+        self, entry, spec, left, right, sort_left: bool, sort_right: bool
+    ) -> PhysicalOp:
+        left_plan = (
+            self._sorted(left, spec.left, spec.left_order) if sort_left else left.plan
+        )
+        right_plan = (
+            self._sorted(right, spec.right, spec.right_order)
+            if sort_right
+            else right.plan
+        )
+        self.stats.plans_materialized += 1
+        plan = MergeJoinP(
+            left_plan, right_plan, spec.left_keys, spec.right_keys,
+            JoinKind.INNER, spec.residual,
+        )
+        return self._stamp(plan, entry, self._fingerprint(spec))
+
+    def _sorted(
+        self, entry: PlanEntry, subset: _Subset, order: SortOrder
+    ) -> PhysicalOp:
+        """A sort enforcer over an entry's plan."""
+        self.stats.plans_materialized += 1
+        sort = SortP(entry.plan, order)
+        sort.est_rows = entry.rows
+        sort.est_cost = entry.cost + subset.sort
+        sort.order = order
+        return sort
+
+    def _hash(self, spec, left, right_entries, into: List[PlanEntry]) -> None:
+        self.stats.plans_considered += len(right_entries)
+        join = spec.hash_join
+        for right in right_entries:
+            self._offer(
+                into, spec,
+                left.cpu + right.cpu + join.cpu,
+                left.io + right.io + join.io,
+                left.comm + right.comm + join.comm,
+                left.cost_hi + right.cost_hi + spec.hash_hi,
+                # Hashing destroys order.
+                None, (), 0,
+                self._build_hash, spec, left, right,
+            )
+
+    def _build_hash(self, entry, spec, left, right) -> PhysicalOp:
+        self.stats.plans_materialized += 1
+        plan = HashJoinP(
+            left.plan, right.plan, spec.left_keys, spec.right_keys,
+            JoinKind.INNER, spec.residual,
+        )
+        return self._stamp(plan, entry, self._fingerprint(spec))

@@ -14,13 +14,12 @@ searches return the same optimal cost; only the amount of work differs.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.cost.parameters import DEFAULT_PARAMETERS, CostParameters
 from repro.errors import OptimizerError
 from repro.logical.querygraph import QueryGraph
-from repro.physical.plans import PhysicalOp
 from repro.core.systemr.enumerator import (
     EnumeratorConfig,
     EnumeratorStats,
@@ -64,26 +63,26 @@ class NaiveExhaustiveEnumerator:
     # ------------------------------------------------------------------
     def run(self) -> List[PlanEntry]:
         """Enumerate every order; returns the surviving full-query entries."""
-        aliases = self.graph.aliases
-        if not aliases:
+        count = len(self.graph.aliases)
+        if not count:
             raise OptimizerError("query graph has no relations")
-        for alias in aliases:
-            self._dp._seed_relation(alias)
+        self._dp.seed()
         best: List[PlanEntry] = []
         if self.bushy:
-            for entry in self._all_trees(frozenset(aliases)):
-                self._dp._insert(best, entry)
+            for entry in self._all_trees((1 << count) - 1):
+                self._dp.prune(best, entry)
         else:
-            for permutation in itertools.permutations(aliases):
+            bits = [1 << position for position in range(count)]
+            for permutation in itertools.permutations(bits):
                 for entry in self._linear_chain(permutation):
-                    self._dp._insert(best, entry)
+                    self._dp.prune(best, entry)
         if not best:
             raise OptimizerError("naive enumeration found no plan")
         return best
 
     def best_cost(self) -> float:
         """Total cost of the best plan found."""
-        return min(entry.cost.total for entry in self.run())
+        return min(entry.total for entry in self.run())
 
     def best_plan(self, required_order=None):
         """The cheapest full plan (plus a final sort when order demands).
@@ -92,58 +91,40 @@ class NaiveExhaustiveEnumerator:
         physicalizer can swap the naive search in transparently (the
         ``EnumeratorConfig.naive`` knob).
         """
-        entries = self.run()
-        self._dp._table[frozenset(self.graph.aliases)] = entries
-        return self._dp.best_plan(required_order)
+        return self._dp.choose(self.run(), required_order)
 
     # ------------------------------------------------------------------
-    def _single(self, alias: str) -> List[PlanEntry]:
-        return self._dp._table[frozenset((alias,))]
+    def _joinable(self, left: int, right: int) -> bool:
+        return self.allow_cartesian or bool(self.graph.edges_spanning(left, right))
 
-    def _linear_chain(self, permutation: Sequence[str]) -> List[PlanEntry]:
-        """All pruned plans for one left-deep permutation."""
-        current_set = frozenset((permutation[0],))
-        entries = list(self._single(permutation[0]))
-        for alias in permutation[1:]:
-            right_set = frozenset((alias,))
-            if not self.allow_cartesian and not self.graph.connected(
-                current_set, right_set
-            ):
+    def _linear_chain(self, permutation: Sequence[int]) -> List[PlanEntry]:
+        """All pruned plans for one left-deep permutation (of relation bits)."""
+        current = permutation[0]
+        entries = self._dp.entries(current)
+        for bit in permutation[1:]:
+            if not self._joinable(current, bit):
                 return []
-            union = current_set | right_set
-            rows = self._dp.estimator.relation_set_cardinality(union, self.graph)
-            next_entries: List[PlanEntry] = []
-            for candidate in self._dp._join_candidates(
-                current_set, right_set, entries, self._single(alias), rows, rows
-            ):
-                self._dp._insert(next_entries, candidate)
-            if not next_entries:
+            joined: List[PlanEntry] = []
+            self._dp.join(current, bit, entries, self._dp.entries(bit), joined)
+            if not joined:
                 return []
-            entries = next_entries
-            current_set = union
+            entries = joined
+            current |= bit
         return entries
 
-    def _all_trees(self, subset: FrozenSet[str]) -> List[PlanEntry]:
+    def _all_trees(self, subset: int) -> List[PlanEntry]:
         """All pruned plans for every binary tree over ``subset`` --
         the un-memoized recursion whose cost DP avoids."""
-        if len(subset) == 1:
-            return list(self._single(next(iter(subset))))
-        items = sorted(subset)
-        rows = self._dp.estimator.relation_set_cardinality(subset, self.graph)
+        if not subset & (subset - 1):
+            return self._dp.entries(subset)
         entries: List[PlanEntry] = []
-        for mask in range(1, 2 ** len(items) - 1):
-            left_set = frozenset(items[i] for i in range(len(items)) if mask & (1 << i))
-            right_set = subset - left_set
-            if not self.allow_cartesian and not self.graph.connected(
-                left_set, right_set
-            ):
-                continue
-            left_entries = self._all_trees(left_set)
-            right_entries = self._all_trees(right_set)
-            if not left_entries or not right_entries:
-                continue
-            for candidate in self._dp._join_candidates(
-                left_set, right_set, left_entries, right_entries, rows, rows
-            ):
-                self._dp._insert(entries, candidate)
+        left = (-subset) & subset  # submasks in ascending order, as the DP's
+        while left != subset:
+            right = subset ^ left
+            if self._joinable(left, right):
+                left_entries = self._all_trees(left)
+                right_entries = self._all_trees(right)
+                if left_entries and right_entries:
+                    self._dp.join(left, right, left_entries, right_entries, entries)
+            left = (left - subset) & subset
         return entries

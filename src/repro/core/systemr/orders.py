@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.expr.expressions import ColumnRef, Comparison, ComparisonOp
 from repro.logical.querygraph import QueryGraph
-from repro.physical.properties import SortOrder, order_satisfies
+from repro.physical.properties import OrderCanonicalizer, SortOrder
 
 
 def equijoin_column_pairs(graph: QueryGraph) -> List[Tuple[ColumnRef, ColumnRef]]:
@@ -98,8 +98,9 @@ def satisfied_orders(
     """Which interesting orders a delivered order satisfies."""
     if not delivered:
         return frozenset()
+    canonicalizer = OrderCanonicalizer(equivalences)
     return frozenset(
         candidate
         for candidate in candidates
-        if order_satisfies(delivered, candidate, equivalences)
+        if canonicalizer.satisfies(delivered, candidate)
     )

@@ -19,7 +19,10 @@ from dataclasses import dataclass
 from repro.cost.parameters import CostParameters
 
 
-@dataclass(frozen=True)
+_set_field = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class Cost:
     """A cost vector: CPU work, I/O work, and communication.
 
@@ -27,9 +30,22 @@ class Cost:
     optimizer minimizes, as the paper notes most systems do.
     """
 
-    cpu: float = 0.0
-    io: float = 0.0
-    comm: float = 0.0
+    # Slotted by hand (``dataclass(slots=True)`` needs Python 3.10): field
+    # defaults would collide with __slots__, so __init__ supplies them.
+    __slots__ = ("cpu", "io", "comm")
+
+    cpu: float
+    io: float
+    comm: float
+
+    def __init__(self, cpu: float = 0.0, io: float = 0.0, comm: float = 0.0) -> None:
+        _set_field(self, "cpu", cpu)
+        _set_field(self, "io", io)
+        _set_field(self, "comm", comm)
+
+    def __reduce__(self):
+        # Frozen + slotted: the default copy/pickle protocol would setattr.
+        return (Cost, (self.cpu, self.io, self.comm))
 
     @property
     def total(self) -> float:
@@ -111,7 +127,7 @@ def cost_seq_scan(
         * (params.cpu_tuple_cost + predicate_ops * params.cpu_operator_cost)
         * vector_cpu_factor(params)
     )
-    return Cost(cpu=cpu, io=io) + Cost(cpu=params.startup_cost_per_operator)
+    return Cost(cpu=cpu + params.startup_cost_per_operator, io=io)
 
 
 def cost_index_scan(
@@ -144,8 +160,8 @@ def cost_index_scan(
                 min(matching_rows, touched * 1.5) * params.random_page_cost
             )
     cpu = matching_rows * params.cpu_tuple_cost
-    return Cost(cpu=cpu, io=descend + data_io) + Cost(
-        cpu=params.startup_cost_per_operator
+    return Cost(
+        cpu=cpu + params.startup_cost_per_operator, io=descend + data_io
     )
 
 
@@ -168,7 +184,7 @@ def cost_sort(rows: float, pages: float, params: CostParameters) -> Cost:
             ),
         )
         io = 2.0 * pages * merge_passes * params.seq_page_cost
-    return Cost(cpu=cpu, io=io) + Cost(cpu=params.startup_cost_per_operator)
+    return Cost(cpu=cpu + params.startup_cost_per_operator, io=io)
 
 
 # ----------------------------------------------------------------------
@@ -186,10 +202,15 @@ def cost_nested_loop_join(
     ``inner_rescan_cost`` is the cost of one rescan of the inner (a
     materialized inner rescan is cheap; a raw table scan is not).
     """
-    rescans = inner_rescan_cost.scaled(max(outer_rows, 1.0))
+    rescans = max(outer_rows, 1.0)
     comparisons = outer_rows * inner_rows * max(1, predicate_ops)
     cpu = comparisons * params.cpu_operator_cost
-    return rescans + Cost(cpu=cpu + params.startup_cost_per_operator)
+    return Cost(
+        cpu=inner_rescan_cost.cpu * rescans
+        + (cpu + params.startup_cost_per_operator),
+        io=inner_rescan_cost.io * rescans,
+        comm=inner_rescan_cost.comm * rescans,
+    )
 
 
 def cost_index_nested_loop_join(
@@ -255,7 +276,7 @@ def cost_hash_join(
     io = 0.0
     if build_pages > params.hash_memory_pages:
         io = 2.0 * (build_pages + probe_pages) * params.seq_page_cost
-    return Cost(cpu=cpu, io=io) + Cost(cpu=params.startup_cost_per_operator)
+    return Cost(cpu=cpu + params.startup_cost_per_operator, io=io)
 
 
 # ----------------------------------------------------------------------

@@ -391,6 +391,20 @@ class QueryMetrics:
     transactions_committed: int = 0
     transactions_aborted: int = 0
     serialization_conflicts: int = 0
+    # Join-enumeration work over every optimization (plan-cache miss):
+    # subsets visited, candidates costed, entries kept after dominance
+    # pruning, and physical operators actually constructed.
+    search_subsets: int = 0
+    search_considered: int = 0
+    search_retained: int = 0
+    search_materialized: int = 0
+
+    def record_search(self, search) -> None:
+        """Fold one optimization's ``EnumeratorStats`` into the totals."""
+        self.search_subsets += search.subsets_examined
+        self.search_considered += search.plans_considered
+        self.search_retained += search.entries_retained
+        self.search_materialized += search.plans_materialized
 
     def record_execution(self, context: "ExecContext", rows: int) -> None:
         """Fold one execution's observed work into the session totals."""
@@ -437,5 +451,9 @@ class QueryMetrics:
                 f"transactions committed:   {self.transactions_committed}",
                 f"transactions aborted:     {self.transactions_aborted}",
                 f"serialization conflicts:  {self.serialization_conflicts}",
+                f"search: subsets={self.search_subsets} "
+                f"considered={self.search_considered} "
+                f"retained={self.search_retained} "
+                f"materialized={self.search_materialized}",
             ]
         )

@@ -130,6 +130,7 @@ def render_explain_analyze(
     stats: RuntimeStats,
     optimize_seconds: Optional[float] = None,
     context=None,
+    search: Optional[str] = None,
 ) -> str:
     """EXPLAIN ANALYZE rendering: estimated vs. actual, per operator.
 
@@ -141,6 +142,8 @@ def render_explain_analyze(
     they happened at -- retries absorbed, degraded execution, fired
     CHECKs, replayed checkpoints -- plus a re-optimization footer, all
     omitted when nothing happened so quiet plans render as before.
+    ``search`` is the optimizer's one-line search summary, shown above
+    the timing footer.
     """
     lines: List[str] = []
 
@@ -224,6 +227,8 @@ def render_explain_analyze(
             lines.extend(
                 "  check: " + event.describe() for event in adaptive.events
             )
+    if search is not None:
+        lines.append(search)
     footer = f"execution time: {stats.total_seconds * 1000.0:.3f}ms"
     if optimize_seconds is not None:
         footer = (

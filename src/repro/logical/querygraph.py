@@ -5,6 +5,11 @@ predicates between them; each node additionally carries its local
 (single-table) predicates.  The System-R style enumerator consumes this
 structure, and the workload generators produce chain / star / clique
 shaped graphs for the enumeration experiments (E1, E3, E10).
+
+Relation sets also have an int *bitmask* form: bit ``i`` stands for the
+``i``-th alias in sorted order, so ascending bit order is ascending alias
+order.  The enumerators' inner loops test connectivity on masks; the
+alias-set methods are thin wrappers over the same tests.
 """
 
 from __future__ import annotations
@@ -54,6 +59,31 @@ class QueryGraph:
     def __init__(self) -> None:
         self._nodes: Dict[str, QueryGraphNode] = {}
         self._edges: List[QueryGraphEdge] = []
+        # Bumped by every mutation: derived views below (and estimator
+        # memos keyed on the graph) are valid for one version only.
+        self.version = 0
+        self._indexed = True
+        self._aliases: List[str] = []
+        self._bits: Dict[str, int] = {}
+        self._edge_view: Tuple[QueryGraphEdge, ...] = ()
+        self._edge_masks: Tuple[int, ...] = ()
+
+    def _mutated(self) -> None:
+        self.version += 1
+        self._indexed = False
+
+    def _index(self) -> None:
+        """Rebuild the sorted-alias, bit and edge-mask views after a mutation."""
+        if self._indexed:
+            return
+        self._aliases = sorted(self._nodes)
+        self._bits = {alias: 1 << i for i, alias in enumerate(self._aliases)}
+        self._edge_view = tuple(self._edges)
+        self._edge_masks = tuple(
+            sum(self._bits[alias] for alias in edge.aliases)
+            for edge in self._edges
+        )
+        self._indexed = True
 
     # ------------------------------------------------------------------
     # Construction
@@ -68,6 +98,7 @@ class QueryGraph:
             raise PlanError(f"duplicate relation alias {alias!r} in query graph")
         node = QueryGraphNode(alias=alias, table=table)
         self._nodes[alias] = node
+        self._mutated()
         return node
 
     def add_predicate(self, predicate: Expr) -> None:
@@ -79,6 +110,7 @@ class QueryGraph:
         this is what lets the optimizer "evaluate predicates as early as
         possible" (Section 3).
         """
+        self._mutated()
         for conjunct in conjuncts(predicate):
             aliases = conjunct.tables()
             unknown = aliases - set(self._nodes)
@@ -106,8 +138,9 @@ class QueryGraph:
     # ------------------------------------------------------------------
     @property
     def aliases(self) -> List[str]:
-        """All relation aliases (sorted for determinism)."""
-        return sorted(self._nodes)
+        """All relation aliases, sorted for determinism (do not mutate)."""
+        self._index()
+        return self._aliases
 
     def node(self, alias: str) -> QueryGraphNode:
         """Node for an alias.
@@ -121,25 +154,68 @@ class QueryGraph:
             raise PlanError(f"unknown relation alias {alias!r}") from exc
 
     @property
-    def edges(self) -> List[QueryGraphEdge]:
-        """All join (hyper-)edges."""
-        return list(self._edges)
+    def edges(self) -> Tuple[QueryGraphEdge, ...]:
+        """All join (hyper-)edges, in the order they were added."""
+        self._index()
+        return self._edge_view
 
+    # ------------------------------------------------------------------
+    # Bitmask view
+    # ------------------------------------------------------------------
+    def mask_of(self, aliases: Iterable[str]) -> int:
+        """Bitmask of an alias set (aliases not in the graph contribute 0)."""
+        self._index()
+        bits = self._bits
+        mask = 0
+        for alias in aliases:
+            mask |= bits.get(alias, 0)
+        return mask
+
+    def aliases_in(self, mask: int) -> List[str]:
+        """The aliases of a bitmask, sorted."""
+        return [
+            alias for i, alias in enumerate(self.aliases) if mask >> i & 1
+        ]
+
+    @property
+    def edge_masks(self) -> Tuple[int, ...]:
+        """Bitmask of each edge's aliases, parallel to :attr:`edges`."""
+        self._index()
+        return self._edge_masks
+
+    def edges_spanning(self, left: int, right: int) -> List[QueryGraphEdge]:
+        """Edges fully covered by ``left | right`` that span both masks."""
+        outside = ~(left | right)
+        return [
+            edge
+            for edge, mask in zip(self.edges, self.edge_masks)
+            if mask & left and mask & right and not mask & outside
+        ]
+
+    def has_edge_within(self, mask: int) -> bool:
+        """Whether some 2-partition of ``mask`` is connected by an edge,
+        i.e. a multi-relation edge lies entirely inside it."""
+        outside = ~mask
+        return any(
+            not edge & outside and edge & (edge - 1) for edge in self.edge_masks
+        )
+
+    def neighbour_mask(self, mask: int) -> int:
+        """Relations joined by some edge to ``mask`` (excluding it)."""
+        result = 0
+        for edge in self.edge_masks:
+            if edge & mask:
+                result |= edge
+        return result & ~mask
+
+    # ------------------------------------------------------------------
+    # Alias-set view
+    # ------------------------------------------------------------------
     def edges_between(
         self, left: Iterable[str], right: Iterable[str]
     ) -> List[QueryGraphEdge]:
         """Edges fully covered by ``left | right`` that span both sides."""
-        left_set, right_set = set(left), set(right)
-        both = left_set | right_set
-        result = []
-        for edge in self._edges:
-            if (
-                edge.aliases <= both
-                and edge.aliases & left_set
-                and edge.aliases & right_set
-            ):
-                result.append(edge)
-        return result
+        return self.edges_spanning(self.mask_of(left), self.mask_of(right))
 
     def connecting_predicate(
         self, left: Iterable[str], right: Iterable[str]
@@ -153,12 +229,7 @@ class QueryGraph:
 
     def neighbours(self, aliases: Iterable[str]) -> Set[str]:
         """Aliases joined by some edge to the given set (excluding it)."""
-        alias_set = set(aliases)
-        result: Set[str] = set()
-        for edge in self._edges:
-            if edge.aliases & alias_set:
-                result |= edge.aliases - alias_set
-        return result
+        return set(self.aliases_in(self.neighbour_mask(self.mask_of(aliases))))
 
     def is_connected(self) -> bool:
         """Whether the whole graph is connected (no forced Cartesian product)."""

@@ -894,3 +894,13 @@ def walk_physical(op: PhysicalOp):
     yield op
     for child in op.children():
         yield from walk_physical(child)
+
+
+def card_sensitive(op: PhysicalOp) -> bool:
+    """Whether a subtree's cost scales with the rows its predicates select.
+
+    An index scan pays per matching row; a sequential scan reads the whole
+    table whatever the predicate selects.  Risk-aware costing inflates
+    only the former at the high end of the cardinality interval.
+    """
+    return any(isinstance(node, IndexScanP) for node in walk_physical(op))

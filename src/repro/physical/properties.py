@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.expr.expressions import ColumnRef
 
@@ -32,6 +32,84 @@ def make_order(
     return tuple((ref, ascending) for ref in columns)
 
 
+# A sort order modulo column equivalence: one int per column, encoding the
+# column's equivalence class and its direction.  Prefix tests and hashing on
+# keys are plain tuple operations.
+OrderKey = Tuple[int, ...]
+
+
+class OrderCanonicalizer:
+    """Sort orders of one query, compared modulo column equivalence.
+
+    Built once per enumeration from the equivalence classes the equijoin
+    predicates induce (as in [58]): after joining on ``R.x = S.x`` a
+    stream ordered on ``R.x`` is ordered on ``S.x`` too.  Every column is
+    mapped to its class id once, so deciding whether a delivered order
+    satisfies a required one is a tuple-prefix comparison, and each
+    distinct delivered order is resolved once to the bitmask of
+    *interesting* orders it satisfies (bit ``i`` = ``interesting[i]``).
+
+    Args:
+        equivalences: disjoint groups of columns forced equal.
+        interesting: the orders :meth:`satisfied_mask` reports on.
+    """
+
+    def __init__(
+        self,
+        equivalences: Sequence[FrozenSet[ColumnRef]] = (),
+        interesting: Sequence[SortOrder] = (),
+    ) -> None:
+        self._class_of: Dict[ColumnRef, int] = {
+            ref: class_id
+            for class_id, group in enumerate(equivalences)
+            for ref in group
+        }
+        self._next_class = len(equivalences)
+        self._interesting = [self.key(order) for order in interesting]
+        self._masks: Dict[OrderKey, int] = {(): 0}
+
+    def key(self, order: Optional[SortOrder]) -> OrderKey:
+        """Canonical form of an order (``()`` for no order)."""
+        if not order:
+            return ()
+        class_of = self._class_of
+        key = []
+        for ref, ascending in order:
+            class_id = class_of.get(ref)
+            if class_id is None:
+                # A column no equijoin touches is a class of its own.
+                class_id = class_of[ref] = self._next_class
+                self._next_class += 1
+            key.append(2 * class_id + bool(ascending))
+        return tuple(key)
+
+    @staticmethod
+    def key_satisfies(delivered: OrderKey, required: OrderKey) -> bool:
+        """Prefix test on canonical keys."""
+        return delivered[: len(required)] == required
+
+    def satisfies(
+        self, delivered: Optional[SortOrder], required: Optional[SortOrder]
+    ) -> bool:
+        """Whether a delivered order satisfies a required one."""
+        if not required:
+            return True
+        if delivered is None or len(delivered) < len(required):
+            return False
+        return self.key_satisfies(self.key(delivered), self.key(required))
+
+    def satisfied_mask(self, delivered: OrderKey) -> int:
+        """Bitmask of the interesting orders a delivered key satisfies."""
+        mask = self._masks.get(delivered)
+        if mask is None:
+            mask = 0
+            for bit, required in enumerate(self._interesting):
+                if delivered[: len(required)] == required:
+                    mask |= 1 << bit
+            self._masks[delivered] = mask
+        return mask
+
+
 def order_satisfies(
     delivered: Optional[SortOrder],
     required: Optional[SortOrder],
@@ -42,30 +120,10 @@ def order_satisfies(
     Satisfaction is prefix-based: a stream sorted on (a, b) satisfies a
     requirement of (a).  Column equivalence classes (derived from
     equijoin predicates, as in [58]) let ``R.x`` order satisfy an ``S.x``
-    requirement after the join on ``R.x = S.x``.
+    requirement after the join on ``R.x = S.x``.  Callers asking many
+    times per query hold an :class:`OrderCanonicalizer` instead.
     """
-    if required is None or not required:
-        return True
-    if delivered is None or len(delivered) < len(required):
-        return False
-    for (have_col, have_asc), (need_col, need_asc) in zip(delivered, required):
-        if have_asc != need_asc:
-            return False
-        if have_col == need_col:
-            continue
-        if not _equivalent(have_col, need_col, equivalences):
-            return False
-    return True
-
-
-def _equivalent(
-    left: ColumnRef,
-    right: ColumnRef,
-    equivalences: Optional[Sequence[FrozenSet[ColumnRef]]],
-) -> bool:
-    if equivalences is None:
-        return False
-    return any(left in group and right in group for group in equivalences)
+    return OrderCanonicalizer(equivalences or ()).satisfies(delivered, required)
 
 
 class PartitionScheme(enum.Enum):

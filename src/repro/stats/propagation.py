@@ -31,7 +31,7 @@ from repro.logical.operators import (
     Sort,
     Union,
 )
-from repro.logical.querygraph import QueryGraph
+from repro.logical.querygraph import QueryGraph, QueryGraphEdge
 from repro.stats.histogram import Bucket, Histogram
 from repro.stats.selectivity import SelectivityEstimator
 from repro.stats.summaries import TableStats
@@ -63,6 +63,13 @@ class CardinalityEstimator:
             damping=damping,
             feedback=feedback,
         )
+        # Per-graph factor memo (see _factors): the graph and version it
+        # was filled for, each alias's filtered (rows, low, high) and each
+        # edge's (selectivity, low, high), the edges keyed by position.
+        self._factor_graph: Optional[QueryGraph] = None
+        self._factor_version = -1
+        self._alias_factors: Dict[str, Tuple[float, float, float]] = {}
+        self._edge_factors: Dict[int, Tuple[float, float, float]] = {}
 
     def base_rows(self, alias: str, default: float = 1000.0) -> float:
         """Cardinality of a base relation (default when never analyzed)."""
@@ -72,6 +79,44 @@ class CardinalityEstimator:
     # ------------------------------------------------------------------
     # Query-graph based estimation (the DP enumerator's view)
     # ------------------------------------------------------------------
+    def _factors(self, graph: QueryGraph) -> None:
+        """Point the factor memo at ``graph`` (dropping another graph's).
+
+        An enumeration asks for the cardinality of hundreds of subsets of
+        one graph; each is a product of the same few per-alias and
+        per-edge factors, estimated here once.
+        """
+        if self._factor_graph is not graph or self._factor_version != graph.version:
+            self._factor_graph = graph
+            self._factor_version = graph.version
+            self._alias_factors = {}
+            self._edge_factors = {}
+
+    def _alias_factor(
+        self, alias: str, graph: QueryGraph
+    ) -> Tuple[float, float, float]:
+        factor = self._alias_factors.get(alias)
+        if factor is None:
+            base = self.base_rows(alias)
+            s_lo, s, s_hi = self.selectivity.selectivity_interval(
+                graph.node(alias).local_predicate()
+            )
+            factor = self._alias_factors[alias] = (
+                max(base * s, 0.0),
+                max(base * s_lo, 0.0),
+                max(base * s_hi, 0.0),
+            )
+        return factor
+
+    def _edge_factor(
+        self, position: int, edge: QueryGraphEdge
+    ) -> Tuple[float, float, float]:
+        factor = self._edge_factors.get(position)
+        if factor is None:
+            s_lo, s, s_hi = self.selectivity.selectivity_interval(edge.predicate)
+            factor = self._edge_factors[position] = (s, s_lo, s_hi)
+        return factor
+
     def relation_set_cardinality(
         self, aliases: FrozenSet[str], graph: QueryGraph
     ) -> float:
@@ -79,17 +124,23 @@ class CardinalityEstimator:
 
         Classical model: product of per-relation filtered cardinalities
         times the selectivity of every join edge internal to the set.
+        Factors multiply in sorted-alias then edge order, so the product
+        does not depend on the set's iteration order.
         """
-        rows = 1.0
-        for alias in aliases:
-            node = graph.node(alias)
-            base = self.base_rows(alias)
-            local = self.selectivity.selectivity(node.local_predicate())
-            rows *= max(base * local, 0.0)
-        for edge in graph.edges:
+        return self._relation_set_product(aliases, graph, 0)
+
+    def _relation_set_product(
+        self, aliases: FrozenSet[str], graph: QueryGraph, which: int
+    ) -> float:
+        """Product of factor component ``which`` (0 estimate, 1 low, 2 high)."""
+        self._factors(graph)
+        product = 1.0
+        for alias in sorted(aliases):
+            product *= self._alias_factor(alias, graph)[which]
+        for position, edge in enumerate(graph.edges):
             if edge.aliases <= aliases and len(edge.aliases) > 1:
-                rows *= self.selectivity.selectivity(edge.predicate)
-        return max(rows, 0.0)
+                product *= self._edge_factor(position, edge)[which]
+        return max(product, 0.0)
 
     def relation_set_interval(
         self, aliases: FrozenSet[str], graph: QueryGraph
@@ -105,25 +156,11 @@ class CardinalityEstimator:
         ``(low, high)`` bracketing the point estimate; both bounds are
         non-negative and ``low <= estimate <= high``.
         """
-        low = 1.0
-        high = 1.0
-        for alias in aliases:
-            node = graph.node(alias)
-            base = self.base_rows(alias)
-            s_lo, _, s_hi = self.selectivity.selectivity_interval(
-                node.local_predicate()
-            )
-            low *= max(base * s_lo, 0.0)
-            high *= max(base * s_hi, 0.0)
-        for edge in graph.edges:
-            if edge.aliases <= aliases and len(edge.aliases) > 1:
-                s_lo, _, s_hi = self.selectivity.selectivity_interval(
-                    edge.predicate
-                )
-                low *= s_lo
-                high *= s_hi
-        estimate = self.relation_set_cardinality(aliases, graph)
-        return min(max(low, 0.0), estimate), max(high, estimate)
+        estimate, low, high = (
+            self._relation_set_product(aliases, graph, which)
+            for which in range(3)
+        )
+        return min(low, estimate), max(high, estimate)
 
     def scan_rows(self, alias: str, graph: QueryGraph) -> float:
         """Rows surviving a relation's local predicates."""

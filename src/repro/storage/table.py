@@ -10,6 +10,7 @@ model's vocabulary.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -202,12 +203,22 @@ class HeapTable:
     def visible_rows(
         self, snapshot: Optional[Any] = None
     ) -> Iterator[Tuple[int, Row]]:
-        """Yield visible ``(row_id, row)`` pairs in heap order."""
-        if not self._xmin and not self._xmax:
-            return enumerate(iter(self._rows))
+        """Yield visible ``(row_id, row)`` pairs in heap order.
+
+        The scan covers the rows present when it starts: a version a
+        writer appends while the scan is suspended belongs to a
+        transaction that had not committed when the reader's snapshot was
+        taken, and the flat fast path, chosen once, would otherwise hand
+        it out unchecked.
+        """
+        with self.lock:
+            rows = self._rows
+            bounded = enumerate(itertools.islice(rows, len(rows)))
+            if not self._xmin and not self._xmax:
+                return bounded
         return (
             (row_id, row)
-            for row_id, row in enumerate(self._rows)
+            for row_id, row in bounded
             if self.row_visible(row_id, snapshot)
         )
 

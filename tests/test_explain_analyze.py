@@ -51,6 +51,21 @@ class TestExplainStatements:
         assert "optimization time:" in text
         assert "execution time:" in text
 
+    def test_search_line_in_explain_and_metrics(self, emp_dept_db):
+        """What the join enumeration explored is one line of EXPLAIN,
+        EXPLAIN ANALYZE and \\metrics; a cached plan keeps its line."""
+        optimized = emp_dept_db.optimize(JOIN_SQL)
+        line = optimized.search.summary()
+        assert line.startswith("search: subsets=1 considered=")
+        assert optimized.search.plans_considered > optimized.search.plans_materialized
+        for statement in ("EXPLAIN ", "EXPLAIN ANALYZE ", "EXPLAIN "):
+            rows = emp_dept_db.sql(statement + JOIN_SQL).rows
+            assert line in [row[0] for row in rows]
+        metrics = emp_dept_db.metrics
+        # Three statements, one optimization: the others hit the plan cache.
+        assert metrics.search_considered == optimized.search.plans_considered
+        assert metrics.format().splitlines()[-1] == line
+
     def test_explain_analyze_actuals_match_query(self, emp_dept_db):
         plain = emp_dept_db.sql(JOIN_SQL)
         analyzed = emp_dept_db.sql("EXPLAIN ANALYZE " + JOIN_SQL)

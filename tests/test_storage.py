@@ -201,3 +201,16 @@ class TestIncrementalUniqueEnforcement:
         index.insert_entry((2, None), first)
         index.insert_entry((3, None), second)
         assert index.seek(None) == []
+
+
+def test_scan_excludes_versions_appended_after_it_started():
+    """A heap scan that found the table flat must not hand out versions a
+    writer appends while the scan is suspended mid-way (the torn SUM of
+    the writer-stampede test): they belong to a transaction that had not
+    committed when the reader's snapshot was taken."""
+    table = small_table([(0, 5), (1, 7)])
+    scan = table.visible_rows(None)
+    assert next(scan) == (0, (0, 5))
+    table.mvcc_delete(0, txid=42)
+    table.mvcc_insert((0, 6), txid=42)
+    assert list(scan) == [(1, (1, 7))]
