@@ -192,7 +192,7 @@ class Optimizer:
             rewritten=rewritten,
             physical=physical,
             rewrite_trace=context.trace,
-            search=self.physicalizer.search,
+            search=self.physicalizer.search or EnumeratorStats(),
         )
 
     def _estimator(self, logical: LogicalOp) -> CardinalityEstimator:

@@ -114,9 +114,9 @@ class Physicalizer:
         self.adaptive = adaptive
         self.parallel_mode = parallel_mode
         self.max_dop = max_dop
-        # Join-enumeration work of the latest plan_query(), summed over
-        # the query's SPJ regions.
-        self.search = EnumeratorStats()
+        # Join-enumeration work since the latest plan_query(), summed
+        # over the query's SPJ regions (None until one is enumerated).
+        self.search: Optional[EnumeratorStats] = None
 
     # ------------------------------------------------------------------
     def plan_query(
@@ -130,7 +130,7 @@ class Physicalizer:
         validity-range CHECK operators are inserted at materialization
         points here.
         """
-        self.search = EnumeratorStats()
+        self.search = None
         plan = self.physicalize(op, required_order)
         if self.adaptive is not None and self.adaptive.enabled:
             from repro.engine.adaptive import insert_checks
@@ -198,7 +198,7 @@ class Physicalizer:
                 allow_cartesian=True,
             )
             plan, _cost = naive.best_plan(required_order)
-            self.search.absorb(naive.stats)
+            self._searched(naive.stats)
             return plan
         enumerator = SystemRJoinEnumerator(
             self.catalog,
@@ -210,8 +210,19 @@ class Physicalizer:
             feedback=self.feedback,
         )
         plan, _cost = enumerator.best_plan(required_order)
-        self.search.absorb(enumerator.stats)
+        self._searched(enumerator.stats)
         return plan
+
+    def _searched(self, stats: EnumeratorStats) -> None:
+        # Most queries have exactly one region: its counters are adopted
+        # as they are, and only a further region pays for a merged copy.
+        if self.search is None:
+            self.search = stats
+        else:
+            merged = EnumeratorStats()
+            merged.absorb(self.search)
+            merged.absorb(stats)
+            self.search = merged
 
     def _collect_region(self, op: LogicalOp, graph: QueryGraph) -> None:
         if isinstance(op, Get):

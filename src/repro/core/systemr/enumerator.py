@@ -207,28 +207,34 @@ class PlanEntry:
 
 class _Subset:
     """Logical properties of one relation subset, shared by all its plans,
-    and the enforcer costs that depend on nothing else."""
+    and the enforcer costs that depend on nothing else (priced on first
+    use: a single-relation query never sorts or materializes)."""
 
     __slots__ = (
         "rows", "rows_hi", "width", "sort", "sort_hi",
         "materialize", "materialize_hi",
     )
 
-    def __init__(
-        self, rows: float, rows_hi: float, width: float, params: CostParameters
-    ) -> None:
+    def __init__(self, rows: float, rows_hi: float, width: float) -> None:
         self.rows = rows
         self.rows_hi = rows_hi
         self.width = width
-        pages = pages_for_rows(rows, width, params)
-        self.sort = cost_sort(rows, pages, params)
-        self.materialize = cost_materialize(rows, pages, params)
-        self.sort_hi = self.sort
-        self.materialize_hi = self.materialize
-        if rows_hi != rows:
-            pages_hi = pages_for_rows(rows_hi, width, params)
-            self.sort_hi = cost_sort(rows_hi, pages_hi, params)
-            self.materialize_hi = cost_materialize(rows_hi, pages_hi, params)
+        self.sort: Optional[Cost] = None
+
+    def price_enforcers(self, params: CostParameters) -> "_Subset":
+        """Fill in the sort / materialize costs (and their high ends)."""
+        if self.sort is None:
+            rows, rows_hi, width = self.rows, self.rows_hi, self.width
+            pages = pages_for_rows(rows, width, params)
+            self.sort = self.sort_hi = cost_sort(rows, pages, params)
+            self.materialize = self.materialize_hi = cost_materialize(
+                rows, pages, params
+            )
+            if rows_hi != rows:
+                pages_hi = pages_for_rows(rows_hi, width, params)
+                self.sort_hi = cost_sort(rows_hi, pages_hi, params)
+                self.materialize_hi = cost_materialize(rows_hi, pages_hi, params)
+        return self
 
 
 class _JoinSpec:
@@ -351,6 +357,7 @@ class SystemRJoinEnumerator:
                 entry.order_key, required_key
             )
             if needs_sort:
+                full.price_enforcers(self.params)
                 total = (entry.cost + full.sort).total
                 cost_hi += full.sort_hi.total
             candidates.append((total, cost_hi, entry, needs_sort))
@@ -386,15 +393,13 @@ class SystemRJoinEnumerator:
                 rows_hi = self.estimator.relation_set_interval(
                     frozenset((alias,)), graph
                 )[1]
-            self._subsets[bit] = _Subset(
-                rows, rows_hi, self._width(bit), self.params
-            )
+            self._subsets[bit] = _Subset(rows, rows_hi, self._width(bit))
             if self.catalog.indexes_on(graph.node(alias).table):
                 self._indexed[bit] = alias
             entries: List[PlanEntry] = []
             for path in paths:
                 cost = path.est_cost
-                cost_hi = cost.total
+                cost_hi = total = cost.total
                 if risk and card_sensitive(path):
                     # An index scan's cost is per matching row; a sequential
                     # scan reads the whole table no matter what the predicate
@@ -404,7 +409,7 @@ class SystemRJoinEnumerator:
                 self.prune(
                     entries,
                     PlanEntry(
-                        cost.total, cost.cpu, cost.io, cost.comm,
+                        total, cost.cpu, cost.io, cost.comm,
                         path.est_rows, rows_hi, cost_hi, path.order, key,
                         self._canon.satisfied_mask(key), plan=path,
                     ),
@@ -559,9 +564,7 @@ class SystemRJoinEnumerator:
                 rows_hi = self.estimator.relation_set_interval(
                     aliases, self.graph
                 )[1]
-            subset = self._subsets[mask] = _Subset(
-                rows, rows_hi, self._width(mask), self.params
-            )
+            subset = self._subsets[mask] = _Subset(rows, rows_hi, self._width(mask))
         return subset
 
     def _join_spec(
@@ -594,8 +597,8 @@ class SystemRJoinEnumerator:
         risk = self.config.risk_aware
         algorithms = self.config.join_algorithms
         spec = _JoinSpec()
-        left = spec.left = self._subset(left_mask)
-        right = spec.right = self._subset(right_mask)
+        left = spec.left = self._subset(left_mask).price_enforcers(params)
+        right = spec.right = self._subset(right_mask).price_enforcers(params)
         out = self._subset(left_mask | right_mask)
         rows = spec.rows = out.rows
         rows_hi = spec.rows_hi = out.rows_hi

@@ -123,7 +123,15 @@ def order_satisfies(
     requirement after the join on ``R.x = S.x``.  Callers asking many
     times per query hold an :class:`OrderCanonicalizer` instead.
     """
-    return OrderCanonicalizer(equivalences or ()).satisfies(delivered, required)
+    if not required:
+        return True
+    if delivered is None or len(delivered) < len(required):
+        return False
+    if tuple(delivered[: len(required)]) == tuple(required):
+        return True  # the same columns: no equivalence needed
+    return bool(equivalences) and OrderCanonicalizer(equivalences).satisfies(
+        delivered, required
+    )
 
 
 class PartitionScheme(enum.Enum):
