@@ -44,9 +44,9 @@ from repro.engine.governor import (
     QueryBudget,
     RetryPolicy,
 )
-from repro.engine.parallel import plan_parallel_regions
 from repro.engine.runtime_stats import RuntimeStats, render_explain_analyze
 from repro.errors import SerializationError, TransactionError
+from repro.physical.plans import plan_parallel_regions
 from repro.storage.faults import FaultConfig, FaultInjector
 from repro.storage.txn import TransactionManager
 from repro.storage.wal import WriteAheadLog

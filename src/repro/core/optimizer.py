@@ -122,8 +122,6 @@ class Optimizer:
         use_materialized_views: bool = True,
         feedback: Optional[CardinalityFeedback] = None,
         adaptive: Optional[AdaptiveConfig] = None,
-        parallel_mode: bool = False,
-        max_dop: int = 4,
     ) -> None:
         self.catalog = catalog
         self.params = params
@@ -133,13 +131,7 @@ class Optimizer:
         self.rule_engine = rule_engine or default_rule_engine()
         self.feedback = feedback
         self.physicalizer = Physicalizer(
-            catalog,
-            params,
-            config,
-            feedback=feedback,
-            adaptive=adaptive,
-            parallel_mode=parallel_mode,
-            max_dop=max_dop,
+            catalog, params, config, feedback=feedback, adaptive=adaptive
         )
         self.use_materialized_views = use_materialized_views
 
@@ -435,8 +427,6 @@ class Database:
         batch_mode: bool = True,
         compiled_expressions: bool = True,
         columnar_mode: bool = False,
-        parallel_mode: bool = False,
-        max_dop: int = 4,
         admission: Optional[
             "AdmissionConfig | AdmissionController"
         ] = None,
@@ -468,12 +458,6 @@ class Database:
         self.columnar_mode = columnar_mode
         if columnar_mode:
             self.params = params.with_overrides(columnar_execution=True)
-        # Intra-query parallelism: the physicalizer places exchange/
-        # gather regions (see repro.core.parallel.placement) and the
-        # engines fan them out across a worker pool.  Off by default;
-        # parallel_mode=False is the bit-identical serial oracle.
-        self.parallel_mode = parallel_mode
-        self.max_dop = max(1, int(max_dop))
         # Server-wide admission control.  Pass an AdmissionConfig to
         # build a controller owned by this Database, or share one
         # AdmissionController across databases; None (the default)
@@ -556,8 +540,6 @@ class Database:
             use_rewrites=self.use_rewrites,
             feedback=self.feedback,
             adaptive=self.adaptive,
-            parallel_mode=self.parallel_mode,
-            max_dop=self.max_dop,
         )
 
     def optimize(self, sql: str) -> OptimizedQuery:
@@ -797,16 +779,16 @@ class Database:
     def _pin_read_snapshot(self, context: ExecContext):
         """Give one read-only execution a consistent snapshot.
 
-        No-op (returns an idle release) until the first DML creates the
-        manager: with no versions in flight, reading latest state *is*
-        the snapshot, and flat tables keep their zero-overhead paths.
         Inside an explicit transaction the statement reads through the
         transaction's own snapshot; otherwise a fresh snapshot is pinned
-        for exactly this execution (blocking vacuum while it runs).
+        for exactly this execution (blocking vacuum while it runs).  The
+        snapshot is pinned even before the first DML: a reader that went
+        without one could start scanning just as another thread's first
+        transaction begins writing, and would then read that
+        transaction's uncommitted versions.  Flat tables still skip every
+        visibility check, so the pin is the only cost.
         """
-        manager = self._txn_manager
-        if manager is None:
-            return lambda: None
+        manager = self.txn_manager
         txn = self._session_txn()
         if txn is not None:
             context.txn = txn
@@ -908,8 +890,6 @@ class Database:
         context.batch_mode = self.batch_mode
         context.compiled_expressions = self.compiled_expressions
         context.columnar_mode = self.columnar_mode
-        context.parallel_mode = self.parallel_mode
-        context.max_dop = self.max_dop
         context.admission = self.admission
         if self.adaptive is not None and self.adaptive.enabled:
             context.adaptive = AdaptiveState(self.adaptive)

@@ -1,15 +1,13 @@
-"""Exchange placement: phase two of two-phase optimization, made real.
+"""Exchange placement: phase two of two-phase optimization on real plans.
 
 The two-phase machinery in :mod:`repro.core.parallel.twophase` *prices*
 parallel schedules (response time = work/p + startup + communication,
-Section 7.1) but until now only simulated them.  This pass runs after
-the serial plan is physicalized and rewrites it into an executable
-parallel plan: around each parallelizable operator it places the
-distributing :class:`~repro.physical.plans.ExchangeP` operators stage 1
-of the runtime partitions on, and a
+Section 7.1) on abstract join trees.  This pass runs after the serial
+plan is physicalized and rewrites it into a parallel plan: around each
+parallelizable operator it places the distributing
+:class:`~repro.physical.plans.ExchangeP` operators, and a
 :class:`~repro.physical.plans.GatherP` that marks the region boundary
-where worker streams merge back into one (see
-:mod:`repro.engine.parallel`).
+where partitioned streams merge back into one.
 
 The degree of parallelism is chosen per region with the same
 :class:`~repro.core.parallel.machine.ParallelMachine` response-time
@@ -17,11 +15,11 @@ model the simulator uses: the operator's own estimated work is divided
 across ``p`` workers, startup is paid per extra worker, and the
 exchange's communication is priced by scheme (repartition moves
 ``(p-1)/p`` of the pages, broadcast replicates ``p-1`` copies).  A
-region is only created when some ``p <= max_dop`` beats the serial
+region is only created when some ``p <= max_degree`` beats the serial
 response time -- the startup term keeps tiny operators serial, exactly
 the property the paper ascribes to the two-phase scheduler.
 
-Supported region shapes mirror the runtime's worker twins:
+Supported region shapes:
 
 * hash join (INNER / LEFT OUTER / SEMI / ANTI): both sides hash-
   repartitioned on the join keys, or the probe round-robin with the
@@ -31,10 +29,10 @@ Supported region shapes mirror the runtime's worker twins:
 * distinct: input hash-partitioned on all columns;
 * expensive UDF filters: input round-robin (embarrassingly parallel).
 
-Plans produced here remain valid on every engine: the legacy and
-serial streaming engines treat Exchange/Gather as accounting
-pass-throughs, so ``parallel_mode=False`` executes the same tree as the
-bit-identical differential oracle.
+Plans produced here remain valid on every engine: each engine treats
+Exchange/Gather as an accounting pass-through, so a placed plan returns
+the same rows as the serial plan it came from and charges its
+communication to ``counters.exchange_pages``.
 """
 
 from __future__ import annotations
@@ -86,56 +84,57 @@ def _bare_exchange(node: object) -> bool:
     placed region, so it must stay serial.  A :class:`GatherP` child is
     different: the gather is a finished region whose merged output is
     an ordinary serial stream, and placing a new exchange above it
-    composes regions sequentially (stage 1 of the outer region drains
-    the inner gather through the engine).
+    composes regions sequentially.
     """
     return isinstance(node, ExchangeP) and not isinstance(node, GatherP)
 
 
 def place_exchanges(
-    plan: PhysicalOp, params: CostParameters, max_dop: int
+    plan: PhysicalOp, params: CostParameters, max_degree: int
 ) -> PhysicalOp:
-    """Rewrite a serial physical plan with executable exchange regions.
+    """Rewrite a serial physical plan with exchange regions.
 
     Idempotent on already-parallel plans (existing gathers are left
     untouched) and a no-op when no operator's modeled response time
-    improves under any degree up to ``max_dop``.
+    improves under any degree up to ``max_degree``.
     """
-    if max_dop <= 1:
+    if max_degree <= 1:
         return plan
-    return _visit(plan, params, max_dop)
+    return _visit(plan, params, max_degree)
 
 
-def _visit(node: PhysicalOp, params: CostParameters, max_dop: int) -> PhysicalOp:
+def _visit(
+    node: PhysicalOp, params: CostParameters, max_degree: int
+) -> PhysicalOp:
     if isinstance(node, (GatherP, ExchangeP)):
         # Already placed (hand-built parallel plan): leave the region
         # alone but keep walking below it.
         for attr in _CHILD_ATTRS:
             child = getattr(node, attr, None)
             if isinstance(child, PhysicalOp):
-                setattr(node, attr, _visit(child, params, max_dop))
+                setattr(node, attr, _visit(child, params, max_degree))
         return node
     for attr in _CHILD_ATTRS:
         child = getattr(node, attr, None)
         if isinstance(child, PhysicalOp):
-            setattr(node, attr, _visit(child, params, max_dop))
+            setattr(node, attr, _visit(child, params, max_degree))
     if isinstance(node, CheckP):
         # CHECK operators watch a serial stream's cardinality for the
         # adaptive replanner; never absorb them into a region.
         return node
     if isinstance(node, HashJoinP):
-        return _maybe_join(node, params, max_dop) or node
+        return _maybe_join(node, params, max_degree) or node
     if isinstance(node, HashAggP) and not isinstance(node, StreamAggP):
         if node.keys and not _bare_exchange(node.child):
-            return _maybe_keyed(node, list(node.keys), params, max_dop) or node
+            return _maybe_keyed(node, list(node.keys), params, max_degree) or node
         return node
     if isinstance(node, DistinctP):
         if not _bare_exchange(node.child):
-            return _maybe_distinct(node, params, max_dop) or node
+            return _maybe_distinct(node, params, max_degree) or node
         return node
     if isinstance(node, UdfFilterP):
         if not _bare_exchange(node.child):
-            return _maybe_udf_filter(node, params, max_dop) or node
+            return _maybe_udf_filter(node, params, max_degree) or node
         return node
     if isinstance(node, (ProjectP, FilterP)) and isinstance(
         node.child, GatherP
@@ -148,9 +147,9 @@ def _absorb_unary(node: PhysicalOp, gather: GatherP) -> GatherP:
     """Pull a pipelined unary operator inside the region below it.
 
     ``Project(Gather(root))`` becomes ``Gather(Project(root))``: the
-    per-row projection/filter work runs on the workers instead of the
-    serial coordinator.  Both operators are tag-preserving per-row
-    maps, so the gather's deterministic merge is unaffected.
+    per-row projection/filter work is partitioned with the region
+    instead of running on the serial coordinator.  Both operators are
+    per-row maps, so the region's output is unchanged.
     """
     node.child = gather.child
     gather.child = node
@@ -184,14 +183,14 @@ def _machine(p: int, params: CostParameters) -> ParallelMachine:
     )
 
 
-def _candidate_dops(max_dop: int) -> List[int]:
+def _candidate_dops(max_degree: int) -> List[int]:
     dops = []
     p = 2
-    while p <= max_dop:
+    while p <= max_degree:
         dops.append(p)
         p *= 2
-    if max_dop > 1 and max_dop not in dops:
-        dops.append(max_dop)
+    if max_degree > 1 and max_degree not in dops:
+        dops.append(max_degree)
     return dops
 
 
@@ -226,7 +225,7 @@ def _plain_exchange(
 
 
 def _maybe_join(
-    node: HashJoinP, params: CostParameters, max_dop: int
+    node: HashJoinP, params: CostParameters, max_degree: int
 ) -> Optional[PhysicalOp]:
     if node.kind not in _PARALLEL_JOIN_KINDS:
         return None
@@ -239,7 +238,7 @@ def _maybe_join(
     build_pages = _pages(node.right, params)
     serial = work
     best: Optional[Tuple[float, int, str]] = None
-    for p in _candidate_dops(max_dop):
+    for p in _candidate_dops(max_degree):
         machine = _machine(p, params)
         repart = machine.partitioned_time(work) + machine.repartition_cost(
             probe_pages
@@ -274,7 +273,7 @@ def _maybe_join(
 
 
 def _keyed_dop(
-    node: PhysicalOp, params: CostParameters, max_dop: int
+    node: PhysicalOp, params: CostParameters, max_degree: int
 ) -> Optional[int]:
     """Best degree for a single-input hash-repartitioned region."""
     work = _own_work(node)
@@ -282,7 +281,7 @@ def _keyed_dop(
         return None
     input_pages = _pages(node.children()[0], params)
     best: Optional[Tuple[float, int]] = None
-    for p in _candidate_dops(max_dop):
+    for p in _candidate_dops(max_degree):
         machine = _machine(p, params)
         response = machine.partitioned_time(work) + machine.repartition_cost(
             input_pages
@@ -293,9 +292,9 @@ def _keyed_dop(
 
 
 def _maybe_keyed(
-    node: HashAggP, keys, params: CostParameters, max_dop: int
+    node: HashAggP, keys, params: CostParameters, max_degree: int
 ) -> Optional[PhysicalOp]:
-    dop = _keyed_dop(node, params, max_dop)
+    dop = _keyed_dop(node, params, max_degree)
     if dop is None:
         return None
     exchange = _hash_exchange(node.child, keys, dop)
@@ -306,9 +305,9 @@ def _maybe_keyed(
 
 
 def _maybe_distinct(
-    node: DistinctP, params: CostParameters, max_dop: int
+    node: DistinctP, params: CostParameters, max_degree: int
 ) -> Optional[PhysicalOp]:
-    dop = _keyed_dop(node, params, max_dop)
+    dop = _keyed_dop(node, params, max_degree)
     if dop is None:
         return None
     schema = node.child.output_schema()
@@ -326,14 +325,14 @@ def _maybe_distinct(
 
 
 def _maybe_udf_filter(
-    node: UdfFilterP, params: CostParameters, max_dop: int
+    node: UdfFilterP, params: CostParameters, max_degree: int
 ) -> Optional[PhysicalOp]:
     work = _own_work(node)
     if work <= 0.0:
         return None
     input_pages = _pages(node.child, params)
     best: Optional[Tuple[float, int]] = None
-    for p in _candidate_dops(max_dop):
+    for p in _candidate_dops(max_degree):
         machine = _machine(p, params)
         response = machine.partitioned_time(work) + machine.repartition_cost(
             input_pages

@@ -149,8 +149,8 @@ def schedule_plan(
             for child, need in ((op.left, left_key), (op.right, right_key)):
                 if delivered.get(id(child)) != need:
                     # Typed stream width, not a guessed constant: the
-                    # simulated exchange must move the same pages the
-                    # real exchange runtime measures on this plan.
+                    # simulated exchange must move the same pages an
+                    # executed exchange counts on this plan.
                     width = child.output_schema().row_width_bytes()
                     pages = pages_for_rows(child.est_rows, width, params)
                     cost = machine.repartition_cost(pages)

@@ -82,6 +82,35 @@ def pages_for_rows(rows: float, row_width_bytes: float, params: CostParameters) 
     return max(1.0, rows / per_page)
 
 
+def exchange_page_count(
+    rows: int, width: float, scheme, degree: int, params: CostParameters
+) -> int:
+    """Pages an exchange moves between processors, scheme-aware.
+
+    The counted twin of the two-phase cost model
+    (:class:`repro.core.parallel.machine.ParallelMachine`): a hash or
+    round-robin repartition moves the fraction of pages that change
+    processors, ``(p-1)/p``; a broadcast replicates to every other
+    processor, ``p-1`` copies; a gather (singleton) ships everything to
+    the coordinator once.  Every engine's exchange pass-through charges
+    through this one function, so ``counters.exchange_pages`` agrees
+    across engines on the same plan.
+    """
+    # Imported here: repro.physical imports this module.
+    from repro.physical.properties import PartitionScheme
+
+    raw = pages_for_rows(rows, width, params)
+    if degree <= 1:
+        moved = raw
+    elif scheme is PartitionScheme.BROADCAST:
+        moved = raw * (degree - 1)
+    elif scheme in (PartitionScheme.HASH, PartitionScheme.ROUND_ROBIN):
+        moved = raw * (degree - 1) / degree
+    else:
+        moved = raw
+    return int(moved)
+
+
 def cardenas_yao_pages(rows_fetched: float, total_rows: float, total_pages: float) -> float:
     """Expected distinct pages touched when fetching ``rows_fetched`` random
     rows from a table of ``total_rows`` rows on ``total_pages`` pages.

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import ColumnType
-from repro.cost.model import pages_for_rows
+from repro.cost.model import exchange_page_count, pages_for_rows
 from repro.engine.context import ExecContext
 from repro.engine.interpreter import sort_rows
 from repro.errors import ExecutionError, MemoryBudgetExceeded
@@ -61,7 +61,6 @@ from repro.physical.plans import (
     StreamAggP,
     UnionAllP,
 )
-from repro.physical.properties import PartitionScheme
 
 Row = Tuple[Any, ...]
 
@@ -511,55 +510,9 @@ def _cstream_union_all(
             child.close()
 
 
-def _cdrain_exchange_input(
-    ex: ExchangeP, catalog: Catalog, ctx: ExecContext
-) -> Tuple[List[Row], Optional[np.ndarray]]:
-    """Drain one distributing exchange's child columnar for stage 1.
-
-    Hash exchanges get their partition hashes computed *vectorized*
-    over the key columns (the shared kernel in
-    :mod:`repro.expr.vector`); the runtime then assigns partitions by
-    ``hash %% dop``, landing each key on the same worker the row
-    engine's scalar hash would pick.
-    """
-    from repro.expr.vector import hash_columns
-
-    cbatch = _cdrain(ex.child, catalog, ctx)
-    hashes: Optional[np.ndarray] = None
-    positions = getattr(ex, "key_positions", None)
-    if ex.target.scheme is PartitionScheme.HASH and positions:
-        hashes = hash_columns(
-            [
-                (cbatch.vcolumns[p].values, cbatch.vcolumns[p].valid)
-                for p in positions
-            ]
-        )
-    return cbatch.rows(), hashes
-
-
 def _cstream_exchange(
     op: ExchangeP, catalog: Catalog, ctx: ExecContext
 ) -> Iterator[ColumnarBatch]:
-    from repro.engine.parallel import exchange_page_count, gather_iterator
-
-    if isinstance(op, GatherP) and ctx.parallel_mode and op.dop > 1:
-        # Fan the region below this gather out across the shared worker
-        # pool; sources are drained columnar (vectorized partition
-        # hashing), workers run the row twins, and the merged output is
-        # re-columnarized here.  Falls through to the serial
-        # pass-through when the region shape is unsupported or
-        # admission degraded it to one worker.
-        region = gather_iterator(
-            op,
-            catalog,
-            ctx,
-            lambda ex: _cdrain_exchange_input(ex, catalog, ctx),
-        )
-        if region is not None:
-            schema = op.output_schema()
-            for rows in region:
-                yield ColumnarBatch.from_rows(rows, schema)
-            return
     width = op.child.output_schema().row_width_bytes()
     total = 0
     child = stream_columns(op.child, catalog, ctx)
@@ -732,9 +685,8 @@ def _cstream_hash_join(
         return
 
     # In-memory columnar-native path.  Key columns are hashed
-    # *vectorized* with the canonical value hash (the same kernel that
-    # partitions columnar repartition streams, see
-    # :func:`repro.expr.vector.hash_columns`), candidate pairs come
+    # *vectorized* with the canonical value hash
+    # (:func:`repro.expr.vector.hash_columns`), candidate pairs come
     # from a binary search over the hash-sorted build lanes, and only
     # hash-equal pairs are verified with canonical tuple equality --
     # so collisions and cross-type keys (2 vs 2.0, NaN-as-key) resolve

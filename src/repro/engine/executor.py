@@ -42,7 +42,7 @@ import zlib
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.catalog import Catalog
-from repro.cost.model import pages_for_rows
+from repro.cost.model import exchange_page_count, pages_for_rows
 from repro.engine.adaptive import ReoptimizeSignal, splice_checkpoints
 from repro.engine.context import ExecContext
 from repro.engine.interpreter import InterpreterStats, interpret, sort_rows
@@ -886,9 +886,7 @@ def _run_apply(op: ApplyP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
 
 
 def _run_exchange(op: ExchangeP, catalog: Catalog, ctx: ExecContext) -> List[Row]:
-    from repro.engine.parallel import exchange_page_count
-
-    rows = _run(op.child, catalog, ctx)
+    rows =_run(op.child, catalog, ctx)
     width = _row_width(op.child.output_schema())
     ctx.counters.exchange_pages += exchange_page_count(
         len(rows), width, op.target.scheme, op.target.degree, ctx.params
@@ -1860,19 +1858,6 @@ def _stream_apply(
 def _stream_exchange(
     op: ExchangeP, catalog: Catalog, ctx: ExecContext
 ) -> Iterator[Batch]:
-    from repro.engine.parallel import exchange_page_count, gather_iterator
-
-    if isinstance(op, GatherP) and ctx.parallel_mode and op.dop > 1:
-        # The real thing: fan the region below this gather out across a
-        # worker pool and merge deterministically.  Falls through to the
-        # serial pass-through when the region shape is unsupported or
-        # admission degraded it to one worker.
-        region = gather_iterator(
-            op, catalog, ctx, lambda ex: (_drain(ex.child, catalog, ctx), None)
-        )
-        if region is not None:
-            yield from region
-            return
     width = _row_width(op.child.output_schema())
     total = 0
     child = stream_batches(op.child, catalog, ctx)
@@ -1883,10 +1868,7 @@ def _stream_exchange(
     finally:
         child.close()
         # Charged in the finally so an early-closed consumer (LIMIT) still
-        # pays communication for every batch that actually crossed.  The
-        # scheme-aware page count is shared with the parallel runtime, so
-        # this simulated account and the real exchange's measured pages
-        # agree on the same plan.
+        # pays communication for every batch that actually crossed.
         ctx.counters.exchange_pages += exchange_page_count(
             total, width, op.target.scheme, op.target.degree, ctx.params
         )

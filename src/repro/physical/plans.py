@@ -681,13 +681,10 @@ class GatherP(ExchangeP):
     """Gather a partitioned region back into one stream (Section 7.1).
 
     The root of a parallel region: the subtree between this gather and
-    the distributing :class:`ExchangeP` operators below it runs across
-    ``dop`` worker threads, and the gather merges their outputs back
-    into the serial stream order (deterministic, bit-identical to the
-    single-threaded oracle).  With ``parallel_mode`` off the region is
-    executed serially and the exchanges only account for simulated
-    communication pages, preserving the oracle pattern of
-    ``batch_mode``/``columnar_mode``.
+    the distributing :class:`ExchangeP` operators below it is priced by
+    the two-phase cost model at degree ``dop``.  Every engine executes
+    the region serially; the gather and exchanges only account for
+    communication pages.
     """
 
     def __init__(self, child: PhysicalOp, dop: int) -> None:
@@ -894,6 +891,11 @@ def walk_physical(op: PhysicalOp):
     yield op
     for child in op.children():
         yield from walk_physical(child)
+
+
+def plan_parallel_regions(plan: PhysicalOp) -> List[GatherP]:
+    """All Gather operators in a plan, pre-order."""
+    return [node for node in walk_physical(plan) if isinstance(node, GatherP)]
 
 
 def card_sensitive(op: PhysicalOp) -> bool:

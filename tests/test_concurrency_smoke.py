@@ -482,3 +482,46 @@ def test_writer_stampede_conserves_money_and_loses_no_update():
     assert db.metrics.serialization_conflicts > 0
     audit = db.sql("SELECT SUM(A.balance) AS s FROM Acct A").rows
     assert audit[0][0] == accounts * initial
+
+
+def test_first_read_is_isolated_from_a_concurrent_first_writer(monkeypatch):
+    """A read that starts before any DML still reads through a snapshot.
+
+    The writer's BEGIN + UPDATE is forced in between the reader's
+    snapshot and its scan -- the interleaving the stampede above only
+    hits by scheduler luck.  The uncommitted debit must stay invisible.
+    """
+    from repro.catalog import Column, ColumnType
+    from repro.storage.table import HeapTable
+
+    db = Database()
+    table = db.create_table(
+        "Acct",
+        [
+            Column("id", ColumnType.INT, nullable=False),
+            Column("balance", ColumnType.INT, nullable=False),
+        ],
+    )
+    for account in range(4):
+        table.insert((account, 100))
+    db.analyze()
+
+    def writer():
+        db.sql("BEGIN")
+        db.sql("UPDATE Acct SET balance = balance - 1 WHERE id = 0")
+
+    scan = HeapTable.visible_rows
+    raced = []
+
+    def racing_scan(self, snapshot=None):
+        if not raced:
+            raced.append(True)
+            thread = threading.Thread(target=writer)
+            thread.start()
+            thread.join(timeout=30.0)
+        return scan(self, snapshot)
+
+    monkeypatch.setattr(HeapTable, "visible_rows", racing_scan)
+    rows = db.sql("SELECT SUM(A.balance) AS s FROM Acct A").rows
+    assert raced, "the scan never ran"
+    assert rows == [(400,)]

@@ -19,6 +19,8 @@ from repro.cost import (
     cost_sort,
     pages_for_rows,
 )
+from repro.cost.model import exchange_page_count
+from repro.physical.properties import PartitionScheme as S
 
 P = DEFAULT_PARAMETERS
 
@@ -53,6 +55,24 @@ class TestHelpers:
     def test_cardenas_yao_monotone(self):
         values = [cardenas_yao_pages(k, 1000, 50) for k in (1, 10, 100, 1000)]
         assert values == sorted(values)
+
+    # 8192 rows of 128 bytes on 8192-byte pages: 128 raw pages.
+    @pytest.mark.parametrize(
+        "scheme, degree, pages",
+        [
+            (S.HASH, 1, 128),  # degree 1: nothing changes processors
+            (S.BROADCAST, 1, 128),
+            (S.HASH, 2, 64),  # repartition moves (p-1)/p
+            (S.HASH, 4, 96),
+            (S.ROUND_ROBIN, 4, 96),
+            (S.BROADCAST, 2, 128),  # broadcast replicates p-1 copies
+            (S.BROADCAST, 4, 384),
+            (S.SINGLETON, 4, 128),  # gather ships everything once
+        ],
+    )
+    def test_exchange_page_count(self, scheme, degree, pages):
+        assert pages_for_rows(8192, 128, P) == 128
+        assert exchange_page_count(8192, 128, scheme, degree, P) == pages
 
 
 class TestScanCosts:

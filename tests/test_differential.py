@@ -21,6 +21,7 @@ import pytest
 
 from repro import Database
 from repro.core.optimizer import Optimizer
+from repro.core.parallel.placement import place_exchanges
 from repro.core.systemr.enumerator import EnumeratorConfig
 from repro.datagen import build_emp_dept
 from repro.engine.context import ExecContext
@@ -312,53 +313,38 @@ def test_differential_batch_engine_vs_oracles(diff_db):
         assert columnar == batch, f"columnar engine diverges on {sql!r}"
 
 
-def _parallel_optimizer(db: Database) -> Optimizer:
-    """The session optimizer with exchange placement enabled (DOP 4)."""
-    optimizer = db.optimizer()
-    optimizer.physicalizer.parallel_mode = True
-    optimizer.physicalizer.max_dop = 4
-    return optimizer
-
-
-def _run_parallel(
-    db: Database, optimizer: Optimizer, sql: str, columnar: bool = False
-):
-    plan = optimizer.optimize(sql).physical
+def _run_placed(db: Database, plan, **flags):
+    """Execute an exchange-placed plan; (rows, exchange pages charged)."""
     context = ExecContext(db.params)
-    context.parallel_mode = True
-    context.max_dop = 4
-    context.columnar_mode = columnar
+    for flag, value in flags.items():
+        setattr(context, flag, value)
     _schema, rows = execute(plan, db.catalog, context)
-    return rows, plan
+    return rows, context.counters.exchange_pages
 
 
 def test_differential_parallel_engine(diff_db):
-    """200 seeded queries: parallel execution is bit-identical to serial.
+    """200 seeded queries: parallel plans run as serial pass-throughs.
 
-    Three checks per query: the exchange-placed plan run by the
-    parallel runtime (row driver, DOP 4) must match the serial batch
-    engine's rows exactly (order included); so must the columnar driver
-    over the same parallel plan; and the parallel plan executed with
-    ``parallel_mode`` off -- the serial pass-through oracle -- must be
-    indistinguishable from the plain serial plan.
+    Exchanges are placed at DOP 4 on each optimized plan.  The row-batch,
+    legacy and columnar engines must return the serial plan's rows
+    exactly (order included) and charge identical
+    ``counters.exchange_pages``, and some plans must move pages at all.
     """
     rng = random.Random(SEED)
     full = diff_db.optimizer()
-    par = _parallel_optimizer(diff_db)
+    moved = 0
     for _ in range(QUERY_COUNT):
         sql = generate_query(rng)
         serial_rows = _run_with(diff_db, full, sql)
-        par_rows, plan = _run_parallel(diff_db, par, sql)
-        assert par_rows == serial_rows, f"parallel engine diverges on {sql!r}"
-        col_rows, _plan = _run_parallel(diff_db, par, sql, columnar=True)
-        assert col_rows == serial_rows, (
-            f"parallel columnar engine diverges on {sql!r}"
-        )
-        oracle = ExecContext(diff_db.params)
-        _schema, passthrough = execute(plan, diff_db.catalog, oracle)
-        assert passthrough == serial_rows, (
-            f"serial pass-through of the parallel plan diverges on {sql!r}"
-        )
+        plan = place_exchanges(full.optimize(sql).physical, diff_db.params, 4)
+        rows, pages = _run_placed(diff_db, plan)
+        assert rows == serial_rows, f"exchange pass-through diverges on {sql!r}"
+        for flags in ({"batch_mode": False}, {"columnar_mode": True}):
+            other_rows, other_pages = _run_placed(diff_db, plan, **flags)
+            assert other_rows == rows, f"{flags} diverges on {sql!r}"
+            assert other_pages == pages, f"{flags} exchange pages on {sql!r}"
+        moved += pages > 0
+    assert moved > 0, "no placed plan moved exchange pages"
 
 
 def test_differential_limit_queries(diff_db):

@@ -1,7 +1,13 @@
 """Tests for the Database/Optimizer facade and the error hierarchy."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import Database, EnumeratorConfig
 from repro.catalog import Column, ColumnType
 from repro.core.matviews import create_materialized_view
@@ -142,3 +148,34 @@ class TestDatabaseFacade:
         _schema, rows, stats = emp_dept_db.naive("SELECT name FROM Emp")
         assert len(rows) == 200
         assert stats.rows_produced >= 200
+
+
+_NUMPY_PROBE = """
+import sys
+import repro
+from repro.datagen import build_emp_dept
+
+db = repro.Database(columnar_mode={columnar})
+build_emp_dept(db.catalog, emp_rows=50, dept_rows=5)
+db.sql("SELECT E.name FROM Emp E, Dept D WHERE E.dept_no = D.dept_no")
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("columnar", [False, True])
+def test_numpy_loads_only_for_the_columnar_engine(columnar):
+    """The default engine never imports numpy; only columnar_mode does.
+
+    Runs in a fresh interpreter so modules other tests imported do not
+    count.
+    """
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    completed = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE.format(columnar=columnar)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert completed.stdout.strip() == str(columnar)

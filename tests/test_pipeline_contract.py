@@ -214,9 +214,7 @@ def _factories(catalog):
         return ExchangeP(child, part), (child,)
 
     def gather_plan():
-        # Contract probes run with parallel_mode off, where a gather is
-        # the serial pass-through; in parallel mode the region below it
-        # is driven by the exchange runtime instead (test_parallel_exec).
+        # A gather is the serial pass-through on every engine.
         child = t()
         return GatherP(child, 2), (child,)
 

@@ -58,6 +58,32 @@ class TestMetaCommands:
     def test_unknown(self, shell):
         assert "unknown command" in shell.run_command("\\frobnicate")
 
+    def test_columnar_toggle_replans_cached_statements(self):
+        """Plans cached under the row engine's costing are not reused
+        after ``\\columnar on``; the replanned cost is the one a
+        columnar database estimates.  Feedback is off on both sides so
+        the first run's harvest cannot move the estimates."""
+        sql = (
+            "SELECT D.name, COUNT(*) AS n FROM Emp E, Dept D "
+            "WHERE E.dept_no = D.dept_no GROUP BY D.name"
+        )
+
+        def database(**kw):
+            db = Database(use_feedback=False, **kw)
+            build_emp_dept(db.catalog, emp_rows=50, dept_rows=5)
+            db.analyze()
+            return db
+
+        shell = Shell(database())
+        row_cost = shell.db.sql(sql).plan.est_cost.total
+        assert shell.db.sql(sql).from_plan_cache
+        shell.run_command("\\columnar on")
+        result = shell.db.sql(sql)
+        assert not result.from_plan_cache
+        expected = database(columnar_mode=True).optimize(sql).physical
+        assert result.plan.est_cost.total == expected.est_cost.total
+        assert result.plan.est_cost.total != row_cost
+
 
 class TestQueries:
     def test_select_with_footer(self, shell):
